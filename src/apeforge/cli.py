@@ -337,14 +337,19 @@ def _parse_train_config(path):
                 f"{path}: line {lineno}: expected 'key value'"
             )
         key, value = fields
-        if key in _TRAIN_INT_KEYS:
-            values[key] = int(value)
-        elif key in _TRAIN_FLOAT_KEYS:
-            values[key] = float(value)
-        elif key in _TRAIN_PATH_KEYS:
-            values[key] = value
-        else:
-            raise click.ClickException(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            if key in _TRAIN_INT_KEYS:
+                values[key] = int(value)
+            elif key in _TRAIN_FLOAT_KEYS:
+                values[key] = float(value)
+            elif key in _TRAIN_PATH_KEYS:
+                values[key] = value
+            else:
+                raise click.ClickException(f"{path}: line {lineno}: unknown key {key!r}")
+        except ValueError:
+            raise click.ClickException(
+                f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
+            )
     model_kw = {
         "embedding_dim": values.pop("embedding_dim", 32),
         "hidden_dim": values.pop("hidden_dim", 32),

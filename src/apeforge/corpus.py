@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Sentence = tuple[str, ...]
 
@@ -248,9 +248,3 @@ def escape(sent: Sequence[str]) -> Sentence:
 def unescape(sent: Sequence[str]) -> Sentence:
     """Exact inverse of escape."""
     return tuple(unescape_token(t) for t in sent)
-
-
-def iter_lines(path: str | Path) -> Iterator[str]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield line.rstrip("\n")

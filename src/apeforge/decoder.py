@@ -14,7 +14,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Vocab
+from .corpus import Sentence, Vocab, escape, unescape
 from .nmt.model import DecodeState, Seq2SeqModel
 
 BOS = Vocab.BOS
@@ -64,29 +64,21 @@ class ScorerBinding:
         object.__setattr__(self, "input_ids", tuple(self.input_ids))
 
 
-def pep_vector(input_units: Sequence[str], vocab: Vocab) -> np.ndarray:
-    """Per-token copy bias: 0 for units present in the input or the end
-    symbol, -1 for everything else."""
-    allowed = {vocab.id(u) for u in input_units}
-    allowed.add(EOS)
-    vec = np.full(len(vocab), -1.0)
-    vec[sorted(allowed)] = 0.0
-    return vec
-
-
 @dataclass(frozen=True)
 class PepFeature:
+    """Post-editing penalty: 0 for allowed target ids, -1 for every other id.
+
+    Allowed are the end symbol and the target ids of the input units; units
+    outside the target vocabulary allow nothing (not `<unk>`).
+    """
+
     allowed: frozenset[int]
     weight: float
 
     @classmethod
     def from_units(cls, input_units: Sequence[str], vocab: Vocab, weight: float):
-        allowed = frozenset({vocab.id(u) for u in input_units} | {EOS})
+        allowed = frozenset({vocab.id(u) for u in input_units if u in vocab} | {EOS})
         return cls(allowed=allowed, weight=weight)
-
-    @classmethod
-    def from_ids(cls, input_ids: Iterable[int], weight: float):
-        return cls(allowed=frozenset(set(input_ids) | {EOS}), weight=weight)
 
     def vector(self, vocab_size: int) -> np.ndarray:
         vec = np.full(vocab_size, -1.0)
@@ -254,19 +246,23 @@ def decode(
 
 
 def write_nbest(lists: Iterable[NBestList], path: str | Path) -> None:
-    """One `id ||| tokens ||| name= score ... ||| combined` line per entry."""
+    """One `id ||| tokens ||| name= score ... ||| combined` line per entry.
+
+    Tokens are written Moses-escaped (corpus.escape), so a token holding
+    `|`, `&`, `<`, `>`, quotes or brackets cannot break the line format.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for nbest in lists:
             for entry in nbest.entries:
                 feats = " ".join(f"{name}= {val:.6f}" for name, val in entry.features)
                 fh.write(
-                    f"{nbest.sentence_id} ||| {' '.join(entry.tokens)} ||| "
+                    f"{nbest.sentence_id} ||| {' '.join(escape(entry.tokens))} ||| "
                     f"{feats} ||| {entry.combined:.6f}\n"
                 )
 
 
 def read_nbest(path: str | Path) -> list[NBestList]:
-    """Inverse of write_nbest; entries grouped by sentence id."""
+    """Inverse of write_nbest (tokens unescaped); entries grouped by sentence id."""
     grouped: dict[int, list[NBestEntry]] = {}
     order: list[int] = []
     with open(path, encoding="utf-8") as fh:
@@ -291,7 +287,7 @@ def read_nbest(path: str | Path) -> list[NBestList]:
             except ValueError as exc:
                 raise NBestParseError(f"{path}: line {lineno}: {exc}") from exc
             entry = NBestEntry(
-                tokens=tuple(tokens_text.split()),
+                tokens=unescape(tokens_text.split()),
                 features=tuple(feats),
                 combined=combined,
             )

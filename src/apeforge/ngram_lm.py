@@ -106,9 +106,6 @@ class NgramLm:
             return self.probs[(UNK,)]
         return self.bows.get(ctx, 1.0) * self._p(word, ctx[1:])
 
-    def logprob2(self, word: str, context: Sequence[str] = ()) -> float:
-        return math.log2(self.prob(word, context))
-
 
 def train_lm(corpus: Iterable[Sentence], order: int = 3) -> NgramLm:
     """Estimate an interpolated modified Kneser-Ney model.

@@ -9,6 +9,7 @@ float64 little-endian data, crc32 of the data bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Vocab
-from .model import Seq2SeqModel
+from .model import Seq2SeqModel, param_shapes
 
 MAGIC = b"APEF-NMT"
 VERSION = 1
@@ -70,24 +71,32 @@ def _read_vocab(r: _Reader) -> Vocab:
 
 
 def save(model: Seq2SeqModel, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        _write_u32(fh, VERSION)
-        _write_u32(fh, model.embedding_dim)
-        _write_u32(fh, model.hidden_dim)
-        _write_vocab(fh, model.src_vocab)
-        _write_vocab(fh, model.tgt_vocab)
-        names = model.param_names()
-        _write_u32(fh, len(names))
-        for name in names:
-            arr = np.ascontiguousarray(model.params[name], dtype="<f8")
-            _write_str(fh, name)
-            _write_u32(fh, arr.ndim)
-            for d in arr.shape:
-                _write_u32(fh, d)
-            data = arr.tobytes()
-            fh.write(data)
-            _write_u32(fh, zlib.crc32(data) & 0xFFFFFFFF)
+    """Write to a temporary file next to `path`, then rename it over `path`,
+    so a failed save leaves any earlier checkpoint intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            _write_u32(fh, VERSION)
+            _write_u32(fh, model.embedding_dim)
+            _write_u32(fh, model.hidden_dim)
+            _write_vocab(fh, model.src_vocab)
+            _write_vocab(fh, model.tgt_vocab)
+            names = model.param_names()
+            _write_u32(fh, len(names))
+            for name in names:
+                arr = np.ascontiguousarray(model.params[name], dtype="<f8")
+                _write_str(fh, name)
+                _write_u32(fh, arr.ndim)
+                for d in arr.shape:
+                    _write_u32(fh, d)
+                data = arr.tobytes()
+                fh.write(data)
+                _write_u32(fh, zlib.crc32(data) & 0xFFFFFFFF)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load(path: str | Path) -> Seq2SeqModel:
@@ -105,10 +114,17 @@ def load(path: str | Path) -> Seq2SeqModel:
     hidden_dim = r.u32()
     src_vocab = _read_vocab(r)
     tgt_vocab = _read_vocab(r)
+    expected = param_shapes(len(src_vocab), len(tgt_vocab), embedding_dim, hidden_dim)
     params: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
         name = r.string()
         shape = tuple(r.u32() for _ in range(r.u32()))
+        if name not in expected or name in params:
+            raise CheckpointError(f"{path}: unexpected tensor {name}")
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {shape}, expected {expected[name]}"
+            )
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         data = r.take(count * 8)
         stored_crc = r.u32()
@@ -117,33 +133,14 @@ def load(path: str | Path) -> Seq2SeqModel:
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     if r.pos != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after final tensor")
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise CheckpointError(f"{path}: missing tensor {missing[0]}")
 
-    model = Seq2SeqModel(
+    return Seq2SeqModel(
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
         embedding_dim=embedding_dim,
         hidden_dim=hidden_dim,
         params=params,
     )
-    _validate_dims(model, path)
-    return model
-
-
-def _validate_dims(model: Seq2SeqModel, path) -> None:
-    e, h = model.embedding_dim, model.hidden_dim
-    expected = {
-        "src_emb": (len(model.src_vocab), e),
-        "tgt_emb": (len(model.tgt_vocab), e),
-        "out_W": (len(model.tgt_vocab), h + 2 * h + e),
-        "out_b": (len(model.tgt_vocab),),
-        "init_W": (h, 2 * h),
-        "att_U": (h, 2 * h),
-    }
-    for name, shape in expected.items():
-        if name not in model.params:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        if model.params[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape "
-                f"{model.params[name].shape}, expected {shape}"
-            )

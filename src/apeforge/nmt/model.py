@@ -50,11 +50,30 @@ def _softmax(x):
 _GRU_GATES = ("z", "r", "h")
 
 
-def _gru_param_names(prefix):
-    names = []
-    for g in _GRU_GATES:
-        names += [f"{prefix}_W{g}", f"{prefix}_U{g}", f"{prefix}_b{g}"]
-    return names
+def param_shapes(
+    src_vocab_size: int, tgt_vocab_size: int, embedding_dim: int, hidden_dim: int
+) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor of a model of these sizes."""
+    e, h = embedding_dim, hidden_dim
+    ctx = 2 * h
+    shapes: dict[str, tuple[int, ...]] = {
+        "src_emb": (src_vocab_size, e),
+        "tgt_emb": (tgt_vocab_size, e),
+        "att_W": (h, h),
+        "att_U": (h, ctx),
+        "att_b": (h,),
+        "att_v": (h,),
+        "init_W": (h, ctx),
+        "init_b": (h,),
+        "out_W": (tgt_vocab_size, h + ctx + e),
+        "out_b": (tgt_vocab_size,),
+    }
+    for prefix, in_dim in (("enc_f", e), ("enc_b", e), ("dec", e + ctx)):
+        for g in _GRU_GATES:
+            shapes[f"{prefix}_W{g}"] = (h, in_dim)
+            shapes[f"{prefix}_U{g}"] = (h, h)
+            shapes[f"{prefix}_b{g}"] = (h,)
+    return shapes
 
 
 @dataclass
@@ -89,27 +108,10 @@ def init_model(
     hidden_dim: int = 1024,
     seed: int = 0,
 ) -> Seq2SeqModel:
-    """Fresh model with uniform(-0.08, 0.08) parameters, seeded."""
+    """Fresh model with uniform(-0.08, 0.08) parameters, seeded; tensors are
+    drawn in sorted-name order."""
     rng = np.random.default_rng(seed)
-    e, h = embedding_dim, hidden_dim
-    ctx = 2 * h
-    shapes: dict[str, tuple[int, ...]] = {
-        "src_emb": (len(src_vocab), e),
-        "tgt_emb": (len(tgt_vocab), e),
-        "att_W": (h, h),
-        "att_U": (h, ctx),
-        "att_b": (h,),
-        "att_v": (h,),
-        "init_W": (h, ctx),
-        "init_b": (h,),
-        "out_W": (len(tgt_vocab), h + ctx + e),
-        "out_b": (len(tgt_vocab),),
-    }
-    for prefix, in_dim in (("enc_f", e), ("enc_b", e), ("dec", e + ctx)):
-        for g in _GRU_GATES:
-            shapes[f"{prefix}_W{g}"] = (h, in_dim)
-            shapes[f"{prefix}_U{g}"] = (h, h)
-            shapes[f"{prefix}_b{g}"] = (h,)
+    shapes = param_shapes(len(src_vocab), len(tgt_vocab), embedding_dim, hidden_dim)
     params = {
         name: rng.uniform(-0.08, 0.08, size=shape) for name, shape in sorted(shapes.items())
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,6 +50,12 @@ class BpeModel:
         for left, right in self.merges:
             vocab.add(left + right)
         return vocab
+
+    @cached_property
+    def applier(self) -> "BpeApplier":
+        """The model's applier, built once so its token cache is shared by
+        every apply_bpe call on this model."""
+        return BpeApplier(self)
 
     def truncated(self, merge_count: int) -> "BpeModel":
         return BpeModel(
@@ -173,7 +180,9 @@ class BpeApplier:
         self._cache[token] = (marked, unknown)
         return marked, unknown
 
-    def __call__(self, sent: Sequence[str]) -> Sentence:
+    def __call__(
+        self, sent: Sequence[str], unknown_counts: Counter | None = None
+    ) -> Sentence:
         out: list[str] = []
         for token in sent:
             if token.endswith(CONTINUATION):
@@ -181,7 +190,12 @@ class BpeApplier:
                     f"token {token!r} already carries a continuation marker; "
                     "refusing to segment twice"
                 )
-            out.extend(self.segment_token(token)[0])
+            units, unknown = self.segment_token(token)
+            if unknown and unknown_counts is not None:
+                unknown_counts.update(
+                    ch for ch in token if ch not in self.model.base_symbols
+                )
+            out.extend(units)
         return tuple(out)
 
 
@@ -202,21 +216,7 @@ def apply_bpe(
     Characters missing from the model's base inventory stay single-character
     units; when `unknown_counts` is given, each such character increments it.
     """
-    applier = BpeApplier(model)
-    out: list[str] = []
-    for token in sent:
-        if token.endswith(CONTINUATION):
-            raise SubwordError(
-                f"token {token!r} already carries a continuation marker; "
-                "refusing to segment twice"
-            )
-        units, unknown = applier.segment_token(token)
-        if unknown and unknown_counts is not None:
-            for ch in token:
-                if ch not in model.base_symbols:
-                    unknown_counts[ch] += 1
-        out.extend(units)
-    return tuple(out)
+    return model.applier(sent, unknown_counts)
 
 
 def revert_bpe(sent: Sequence[str]) -> Sentence:

@@ -28,8 +28,6 @@ STAT_COMPONENTS = (
     "ter",
 )
 
-EPSILON = 1e-9  # inverse-distance regularizer for exact matches
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -82,10 +80,6 @@ def stat_matrix(triplets) -> np.ndarray:
     if not triplets:
         return np.zeros((0, len(STAT_COMPONENTS)))
     return np.stack([stat_vector(t) for t in triplets])
-
-
-def similarity(distance: float) -> float:
-    return 1.0 / (EPSILON + distance)
 
 
 def zscore_params(ref_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

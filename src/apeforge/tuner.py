@@ -1,8 +1,9 @@
 """Feature-weight optimization toward lower corpus TER.
 
-Outer loop: decode the dev set with the current weights, merge the fresh
-n-best lists into the accumulated pool (deduplicating by hypothesis string),
-then run margin-based online updates over the pool. Sentence-level TER
+Outer loop: decode the dev set with the current weights (length-normalized
+scores), merge the fresh n-best lists into the accumulated pool
+(deduplicating by hypothesis string), then run margin-based online updates
+over the pool. Sentence-level TER
 against the post-edited reference, as a fraction, is the loss. The returned
 weights are whichever candidate (initial weights included) reranks the
 accumulated pool to the lowest corpus TER, so tuning can never end worse
@@ -33,9 +34,7 @@ class TuneConfig:
     mira_c: float = 0.01
     inner_epochs: int = 15
     seed: int = 0
-    accumulate_nbest: bool = True
     beam: int = 12
-    length_norm: bool = True
 
     def __post_init__(self):
         if self.outer_iterations < 1:
@@ -123,18 +122,39 @@ def mira_epochs(
     return {n: float(v) for n, v in zip(names, averaged)}
 
 
+def _search(
+    pool_for: Callable[[FeatureWeights], Sequence[NBestList]],
+    references: Sequence[Sentence],
+    initial: FeatureWeights,
+    cfg: TuneConfig,
+) -> FeatureWeights:
+    """The outer loop shared by tune and tune_on_lists.
+
+    Each iteration takes the n-best pool for the latest weights, runs MIRA
+    over it and keeps the averaged weights as a candidate. Candidates are the
+    initial weights plus one per iteration; the one with the lowest rerank
+    corpus TER on the final pool wins, earliest first on ties.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    candidates = [dict(initial)]
+    for _ in range(cfg.outer_iterations):
+        lists = pool_for(candidates[-1])
+        candidates.append(mira_epochs(lists, references, candidates[-1], cfg, rng))
+    scored = [
+        (rerank_corpus_ter(lists, cand, references), i)
+        for i, cand in enumerate(candidates)
+    ]
+    return candidates[min(scored)[1]]
+
+
 def tune_on_lists(
     lists: Sequence[NBestList],
     references: Sequence[Sentence],
     cfg: TuneConfig,
     initial: FeatureWeights | None = None,
 ) -> FeatureWeights:
-    """Weight search over fixed n-best lists (no re-decoding).
-
-    Candidates are the initial weights and each outer iteration's averaged
-    weights; the candidate with the lowest rerank corpus TER wins, earliest
-    first on ties.
-    """
+    """Weight search over fixed n-best lists (no re-decoding); initial
+    weights default to uniform over features."""
     if len(lists) != len(references):
         raise ValueError("lists and references must align")
     if not lists:
@@ -142,18 +162,7 @@ def tune_on_lists(
     if initial is None:
         names = sorted(n for n, _ in lists[0].entries[0].features)
         initial = {n: 1.0 / len(names) for n in names}
-    rng = np.random.default_rng(cfg.seed)
-    candidates = [dict(initial)]
-    current = dict(initial)
-    for _ in range(cfg.outer_iterations):
-        current = mira_epochs(lists, references, current, cfg, rng)
-        candidates.append(current)
-    scored = [
-        (rerank_corpus_ter(lists, cand, references), i)
-        for i, cand in enumerate(candidates)
-    ]
-    best_index = min(scored)[1]
-    return candidates[best_index]
+    return _search(lambda _weights: lists, references, initial, cfg)
 
 
 BindingFactory = Callable[
@@ -192,40 +201,18 @@ def tune(
     names = [b.name for b in probe_bindings]
     if probe_pep is not None:
         names.append("pep")
-    weights: FeatureWeights = {n: 1.0 / len(names) for n in names}
-    candidates = [dict(weights)]
-    rng = np.random.default_rng(cfg.seed)
-
+    initial = {n: 1.0 / len(names) for n in names}
     pool: dict[int, list] = {}
-    references = [t.pe for t in dev]
-    for _ in range(cfg.outer_iterations):
+
+    def pool_for(weights: FeatureWeights) -> list[NBestList]:
         fresh = []
         for i, triplet in enumerate(dev):
             bindings, pep = binding_factory(triplet)
             bindings = [replace(b, weight=weights[b.name]) for b in bindings]
             if pep is not None:
                 pep = PepFeature(allowed=pep.allowed, weight=weights["pep"])
-            fresh.append(
-                decode(
-                    bindings,
-                    pep=pep,
-                    beam=cfg.beam,
-                    length_norm=cfg.length_norm,
-                    sentence_id=i,
-                )
-            )
-        if cfg.accumulate_nbest:
-            _merge(pool, fresh)
-        else:
-            pool = {nb.sentence_id: list(nb.entries) for nb in fresh}
-        lists = [
-            NBestList(sentence_id=i, entries=tuple(pool[i])) for i in sorted(pool)
-        ]
-        weights = mira_epochs(lists, references, weights, cfg, rng)
-        candidates.append(dict(weights))
+            fresh.append(decode(bindings, pep=pep, beam=cfg.beam, sentence_id=i))
+        _merge(pool, fresh)
+        return [NBestList(sentence_id=i, entries=tuple(pool[i])) for i in sorted(pool)]
 
-    scored = [
-        (rerank_corpus_ter(lists, cand, references), i)
-        for i, cand in enumerate(candidates)
-    ]
-    return candidates[min(scored)[1]]
+    return _search(pool_for, [t.pe for t in dev], initial, cfg)

@@ -328,6 +328,25 @@ class TestNmtCommands:
         assert result.exit_code != 0
         assert "unknown key 'learning_rate'" in result.output
 
+    def test_non_numeric_config_value_fails(self, runner, tmp_path):
+        for name in ("src.txt", "tgt.txt"):
+            write(tmp_path / name, ["a b"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("hidden_dim 8\nepochs ten\n")
+        result = runner.invoke(
+            cli,
+            [
+                "nmt", "train",
+                "--src", str(tmp_path / "src.txt"),
+                "--tgt", str(tmp_path / "tgt.txt"),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, ValueError)
+        assert f"{cfg}: line 2: bad value 'ten' for key 'epochs'" in result.output
+
     def test_grad_check_passes(self, runner):
         result = runner.invoke(cli, ["nmt", "grad-check"])
         assert result.exit_code == 0, result.output

@@ -15,7 +15,6 @@ from apeforge.decoder import (
     assemble,
     decode,
     parse_decoder_config,
-    pep_vector,
     read_nbest,
     write_nbest,
 )
@@ -67,10 +66,14 @@ def stub_row(vocab, eos=-3.0, u=-1.0, v=-2.0, other=-10.0):
     return row
 
 
+def pep_row(input_units, vocab):
+    return PepFeature.from_units(input_units, vocab, weight=1.0).vector(len(vocab))
+
+
 class TestPepVector:
     def test_direct_rule(self):
         vocab = Vocab(["der", "das", "Haus", "ist"])
-        vec = pep_vector(("der", "Haus"), vocab)
+        vec = pep_row(("der", "Haus"), vocab)
         assert vec[vocab.id("der")] == 0.0
         assert vec[vocab.id("Haus")] == 0.0
         assert vec[EOS] == 0.0
@@ -80,27 +83,35 @@ class TestPepVector:
 
     def test_empty_input_all_minus_one_except_eos(self):
         vocab = Vocab(["a", "b"])
-        vec = pep_vector((), vocab)
+        vec = pep_row((), vocab)
         expected = np.full(len(vocab), -1.0)
         expected[EOS] = 0.0
         np.testing.assert_array_equal(vec, expected)
 
     def test_full_vocab_input_all_zero(self):
         vocab = Vocab(["a", "b", "c"])
-        vec = pep_vector(tuple(vocab.tokens), vocab)
+        vec = pep_row(tuple(vocab.tokens), vocab)
         np.testing.assert_array_equal(vec, np.zeros(len(vocab)))
 
     def test_entries_binary(self):
         vocab = Vocab(["a", "b", "c", "d"])
-        vec = pep_vector(("b", "d"), vocab)
+        vec = pep_row(("b", "d"), vocab)
         assert set(vec.tolist()) <= {0.0, -1.0}
 
     def test_feature_vector_matches_function(self):
         vocab = Vocab(["a", "b", "c"])
         feat = PepFeature.from_units(("a", "c"), vocab, weight=2.0)
-        np.testing.assert_array_equal(
-            feat.vector(len(vocab)), pep_vector(("a", "c"), vocab)
-        )
+        expected = np.full(len(vocab), -1.0)
+        expected[[EOS, vocab.id("a"), vocab.id("c")]] = 0.0
+        np.testing.assert_array_equal(feat.vector(len(vocab)), expected)
+
+    def test_oov_input_unit_does_not_allow_unk(self):
+        vocab = Vocab(["a", "b"])
+        feat = PepFeature.from_units(("a", "zzz"), vocab, weight=1.0)
+        assert feat.allowed == frozenset({EOS, vocab.id("a")})
+        vec = feat.vector(len(vocab))
+        assert vec[Vocab.UNK] == -1.0
+        assert vec[vocab.id("a")] == 0.0
 
 
 class TestAssembly:
@@ -339,6 +350,22 @@ class TestNBestFiles:
         assert [l.sentence_id for l in lists] == [0, 1]
         assert lists[0].entries == self.sample()[0].entries
         assert lists[1].entries == self.sample()[1].entries
+
+    def test_reserved_characters_round_trip(self, tmp_path):
+        path = tmp_path / "n.best"
+        tokens = ("|||", "&", "[", "a|b", "&amp;")
+        lists = [
+            NBestList(
+                sentence_id=0,
+                entries=(NBestEntry(tokens, (("m", -1.0),), -1.0),),
+            )
+        ]
+        write_nbest(lists, path)
+        assert path.read_text() == (
+            "0 ||| &#124;&#124;&#124; &amp; &#91; a&#124;b &amp;amp; "
+            "||| m= -1.000000 ||| -1.000000\n"
+        )
+        assert read_nbest(path)[0].entries == lists[0].entries
 
     def test_write_read_write_stable(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -401,6 +401,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load(tmp_path / "nope.bin")
 
+    def test_wrong_tensor_shape_rejected(self, tmp_path):
+        model, _, _ = tiny_model(e=7, h=5)
+        model.params["dec_Wz"] = np.zeros((5, 7 + 10 + 1))
+        save(model, tmp_path / "m.bin")
+        with pytest.raises(CheckpointError, match="dec_Wz"):
+            load(tmp_path / "m.bin")
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        model, _, _ = tiny_model()
+        del model.params["enc_f_Wz"]
+        save(model, tmp_path / "m.bin")
+        with pytest.raises(CheckpointError, match="missing tensor enc_f_Wz"):
+            load(tmp_path / "m.bin")
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        model, _, _ = tiny_model()
+        model.params["extra"] = np.zeros(3)
+        save(model, tmp_path / "m.bin")
+        with pytest.raises(CheckpointError, match="unexpected tensor extra"):
+            load(tmp_path / "m.bin")
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path):
+        model, _, _ = tiny_model(seed=31)
+        path = tmp_path / "model.bin"
+        save(model, path)
+        before = path.read_bytes()
+        broken = model.clone()
+        broken.params["out_b"] = "not a tensor"  # fails after earlier tensors are written
+        with pytest.raises(ValueError):
+            save(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+        loaded = load(path)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name], model.params[name])
+
 
 class TestModelInit:
     def test_parameter_shapes(self):

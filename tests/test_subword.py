@@ -124,6 +124,16 @@ class TestApply:
         apply_bpe(model, ["ba", "ab", "aabb"], unknown_counts=counts)
         assert counts == Counter()
 
+    def test_token_cache_lasts_across_calls(self):
+        model = learn_bpe([("abab",)] * 3, merge_count=2)
+        counts = Counter()
+        first = apply_bpe(model, ["axb"], unknown_counts=counts)
+        again = apply_bpe(model, ["axb", "axb"], unknown_counts=counts)
+        assert again == first + first
+        assert counts == Counter({"x": 3})
+        assert model.applier is model.applier
+        assert "axb" in model.applier._cache
+
     def test_double_application_guard(self):
         model = learn_bpe([("abab",)] * 3, merge_count=1)
         once = apply_bpe(model, ["abab"])
