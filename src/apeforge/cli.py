@@ -8,14 +8,15 @@ PREFIX.src / PREFIX.mt / PREFIX.pe.
 from __future__ import annotations
 
 import os
-import shlex
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .corpus import (
+    CorpusError,
     Vocab,
     mix as mix_corpora,
     read_mix_spec,
@@ -26,12 +27,12 @@ from .corpus import (
     write_triplets,
 )
 from .decoder import (
-    DecoderConfig,
-    NmtScorer,
-    PepFeature,
-    ScorerBinding,
+    AssemblyError,
+    Ensemble,
+    NBestParseError,
     decode as beam_decode,
     parse_decoder_config,
+    reweight,
     write_nbest,
 )
 from .metrics import bleu, corpus_ter, ter
@@ -42,12 +43,13 @@ from .ngram_lm import (
     train_lm,
     write_arpa,
 )
-from .nmt import TrainConfig, gradient_check, init_model, train
+from .nmt import gradient_check, init_model, read_train_config, train
 from .nmt import checkpoint as ckpt
 from .pipeline import (
     NoiseSpec,
     PipelineConfigError,
-    Stage,
+    parse_config as parse_pipeline,
+    read_confusion,
     roundtrip_generate,
     run as run_stages,
     synth_corrupt,
@@ -60,10 +62,26 @@ from .triplet_select import (
     outlier_filter,
     report_stats,
 )
-from .tuner import TuneConfig, tune
+from .tuner import TuneConfig, read_weights, tune, write_weights
+
+# Named errors for bad input files; each message names the file.
+_INPUT_ERRORS = (
+    CorpusError, AssemblyError, NBestParseError, ckpt.CheckpointError, PipelineConfigError
+)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Reports a named input error as one `Error: <message>` line and exit
+    status 1, instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _INPUT_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def cli():
     """Post-editing toolkit: data synthesis, filtering, toy attentional
     translation models, ensemble beam decoding and weight tuning."""
@@ -307,57 +325,6 @@ def nmt():
     """Attentional encoder-decoder models."""
 
 
-_TRAIN_INT_KEYS = {
-    "embedding_dim",
-    "hidden_dim",
-    "init_seed",
-    "batch_size",
-    "max_sentence_length",
-    "epochs",
-    "shuffle_seed",
-    "checkpoint_every",
-    "max_iterations",
-    "log_every",
-}
-_TRAIN_FLOAT_KEYS = {"rho", "epsilon", "clip_norm"}
-_TRAIN_PATH_KEYS = {"fine_tune_from"}
-
-
-def _parse_train_config(path):
-    """`key value` lines; '#' comments. Keys split into model size
-    (embedding_dim, hidden_dim, init_seed) and the training schedule."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise click.ClickException(
-                f"{path}: line {lineno}: expected 'key value'"
-            )
-        key, value = fields
-        try:
-            if key in _TRAIN_INT_KEYS:
-                values[key] = int(value)
-            elif key in _TRAIN_FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _TRAIN_PATH_KEYS:
-                values[key] = value
-            else:
-                raise click.ClickException(f"{path}: line {lineno}: unknown key {key!r}")
-        except ValueError:
-            raise click.ClickException(
-                f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
-            )
-    model_kw = {
-        "embedding_dim": values.pop("embedding_dim", 32),
-        "hidden_dim": values.pop("hidden_dim", 32),
-        "seed": values.pop("init_seed", 0),
-    }
-    return model_kw, TrainConfig(**values)
-
-
 @nmt.command("train")
 @click.option("--src", "src_path", required=True, type=click.Path(exists=True))
 @click.option("--tgt", "tgt_path", required=True, type=click.Path(exists=True))
@@ -365,7 +332,7 @@ def _parse_train_config(path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def nmt_train(src_path, tgt_path, config_path, out_dir):
     """Train on parallel line-aligned files; writes model.bin in --out."""
-    model_kw, cfg = _parse_train_config(config_path)
+    model_kw, cfg = read_train_config(config_path)
     src_corpus = read_sentences(src_path)
     tgt_corpus = read_sentences(tgt_path)
     if len(src_corpus) != len(tgt_corpus):
@@ -418,66 +385,6 @@ def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
 # ---------------------------------------------------------------- decode
 
 
-def _read_weights(path) -> dict[str, float]:
-    weights = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise click.ClickException(
-                f"{path}: line {lineno}: expected 'name<TAB>value'"
-            )
-        weights[fields[0]] = float(fields[1])
-    return weights
-
-
-def _apply_weights(config: DecoderConfig, weights: dict[str, float]) -> DecoderConfig:
-    scorers = tuple(
-        (name, path, sel, weights.get(name, w))
-        for name, path, sel, w in config.scorers
-    )
-    pep = config.pep
-    if pep is not None:
-        pep = (pep[0], weights.get("pep", pep[1]))
-    return DecoderConfig(scorers=scorers, pep=pep)
-
-
-class _Ensemble:
-    """Decoder config resolved against its model files."""
-
-    def __init__(self, config: DecoderConfig):
-        self.config = config
-        self.models = {}
-        for name, model_path, _sel, _w in config.scorers:
-            model = ckpt.load(model_path)
-            self.models[name] = (model, NmtScorer(model))
-        self.tgt_vocab = next(iter(self.models.values()))[0].tgt_vocab
-
-    def needs_src(self) -> bool:
-        if any(sel == "src" for _, _, sel, _ in self.config.scorers):
-            return True
-        return self.config.pep is not None and self.config.pep[0] == "union"
-
-    def bindings_for(self, mt, src):
-        bindings = []
-        for name, _path, sel, weight in self.config.scorers:
-            sent = mt if sel == "mt" else src
-            model, scorer = self.models[name]
-            bindings.append(
-                ScorerBinding(name, scorer, tuple(model.src_vocab.ids(sent)), weight)
-            )
-        pep = None
-        if self.config.pep is not None:
-            sel, weight = self.config.pep
-            units = tuple(mt)
-            if sel == "union":
-                units = units + tuple(src)
-            pep = PepFeature.from_units(units, self.tgt_vocab, weight)
-        return bindings, pep
-
-
 @cli.command("decode")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--mt", "mt_path", required=True, type=click.Path(exists=True))
@@ -495,10 +402,11 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     lines and at most one `feature pep input=mt|union weight=<w>` line. A
     weights file from the tuner overrides the declared weights.
     """
-    config = parse_decoder_config(Path(config_path).read_text(encoding="utf-8"))
-    if weights_path is not None:
-        config = _apply_weights(config, _read_weights(weights_path))
-    ensemble = _Ensemble(config)
+    config = parse_decoder_config(
+        Path(config_path).read_text(encoding="utf-8"), source=config_path
+    )
+    weights = read_weights(weights_path) if weights_path is not None else {}
+    ensemble = Ensemble(config)
     mt_corpus = read_sentences(mt_path)
     src_corpus = None
     if src_path is not None:
@@ -516,16 +424,10 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     truncated = 0
     for i, mt in enumerate(mt_corpus):
         src = src_corpus[i] if src_corpus is not None else ()
-        bindings, pep = ensemble.bindings_for(mt, src)
+        bindings, pep = reweight(*ensemble.bindings_for(mt, src), weights)
         nb = beam_decode(bindings, pep=pep, beam=width, sentence_id=i)
         truncated += nb.truncated
-        if len(nb.entries) > nbest:
-            nb = type(nb)(
-                sentence_id=nb.sentence_id,
-                entries=nb.entries[:nbest],
-                truncated=nb.truncated,
-            )
-        lists.append(nb)
+        lists.append(replace(nb, entries=nb.entries[:nbest]))
     write_nbest(lists, out_path)
     if best_path is not None:
         write_sentences(best_path, [nb.entries[0].tokens for nb in lists])
@@ -549,13 +451,11 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, seed, out_path):
     """Optimize feature weights toward lower TER on a dev triplet set."""
-    config = parse_decoder_config(Path(config_path).read_text(encoding="utf-8"))
-    ensemble = _Ensemble(config)
+    config = parse_decoder_config(
+        Path(config_path).read_text(encoding="utf-8"), source=config_path
+    )
+    ensemble = Ensemble(config)
     dev = read_triplets(dev_prefix)
-
-    def factory(triplet):
-        return ensemble.bindings_for(triplet.mt, triplet.src)
-
     cfg = TuneConfig(
         outer_iterations=iterations,
         beam=beam,
@@ -563,10 +463,9 @@ def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, se
         inner_epochs=inner_epochs,
         seed=seed,
     )
-    weights = tune(dev, factory, cfg)
-    lines = [f"{name}\t{weights[name]:.6f}" for name in sorted(weights)]
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    click.echo("\n".join(lines))
+    weights = tune(dev, lambda t: ensemble.bindings_for(t.mt, t.src), cfg)
+    write_weights(out_path, weights)
+    click.echo(Path(out_path).read_text(encoding="utf-8"), nl=False)
 
 
 # ---------------------------------------------------------------- report
@@ -608,21 +507,6 @@ def synth():
     """Synthetic triplet generation."""
 
 
-def _read_confusion(path) -> dict[str, tuple[str, ...]]:
-    table = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) < 2:
-            raise click.ClickException(
-                f"{path}: line {lineno}: expected 'token alternative...'"
-            )
-        table[fields[0]] = tuple(fields[1:])
-    return table
-
-
 @synth.command("corrupt")
 @click.option("--pe", "pe_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_prefix", required=True)
@@ -638,7 +522,7 @@ def synth_corrupt_cmd(
     confusion_path, fillers,
 ):
     """Derive noisy (src, mt, pe) triplets from clean text."""
-    confusion = _read_confusion(confusion_path) if confusion_path else None
+    confusion = read_confusion(confusion_path) if confusion_path else None
     try:
         spec = NoiseSpec(
             substitution=substitution,
@@ -695,90 +579,6 @@ def _stage_action(args: list[str]):
     return action
 
 
-def parse_pipeline_config(text: str, source: str = "<config>"):
-    """Line-oriented stage declarations.
-
-    Outside a block: `workspace <dir>` (optional, once). A block is
-
-        stage <name>
-          in <file> ...
-          out <file> ...
-          deps <stage> ...
-          cmd <subcommand and arguments>
-        end
-
-    with `in`, `out` and `deps` optional and repeatable; `cmd` is required.
-    '#' starts a comment. Returns (workspace or None, stages).
-    """
-    workspace = None
-    stages: list[Stage] = []
-    current = None
-
-    def fail(lineno, message):
-        raise PipelineConfigError(f"{source}: line {lineno}: {message}")
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        directive = fields[0]
-        if current is None:
-            if directive == "workspace":
-                if len(fields) != 2:
-                    fail(lineno, "workspace takes one path")
-                if workspace is not None:
-                    fail(lineno, "duplicate workspace directive")
-                workspace = fields[1]
-            elif directive == "stage":
-                if len(fields) != 2:
-                    fail(lineno, "stage takes one name")
-                current = {
-                    "name": fields[1],
-                    "in": [],
-                    "out": [],
-                    "deps": [],
-                    "cmd": None,
-                }
-            else:
-                fail(lineno, f"unknown directive {directive!r}")
-            continue
-        if directive in ("in", "out", "deps"):
-            if len(fields) < 2:
-                fail(lineno, f"{directive} needs at least one value")
-            current[directive].extend(fields[1:])
-        elif directive == "cmd":
-            if current["cmd"] is not None:
-                fail(lineno, f"stage {current['name']!r} has two cmd lines")
-            rest = line.split(None, 1)
-            if len(rest) < 2:
-                fail(lineno, "cmd needs a command line")
-            current["cmd"] = shlex.split(rest[1])
-        elif directive == "end":
-            if current["cmd"] is None:
-                fail(lineno, f"stage {current['name']!r} has no cmd")
-            args = current["cmd"]
-            if args and args[0] == "apeforge":
-                args = args[1:]
-            stages.append(
-                Stage(
-                    name=current["name"],
-                    action=_stage_action(args),
-                    inputs=tuple(current["in"]),
-                    outputs=tuple(current["out"]),
-                    deps=tuple(current["deps"]),
-                )
-            )
-            current = None
-        else:
-            fail(lineno, f"unknown stage directive {directive!r}")
-    if current is not None:
-        raise PipelineConfigError(
-            f"{source}: stage {current['name']!r} not closed with 'end'"
-        )
-    return workspace, stages
-
-
 @cli.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def run_cmd(config_path):
@@ -789,12 +589,9 @@ def run_cmd(config_path):
     config file's own directory.
     """
     config_path = Path(config_path)
-    try:
-        declared, stages = parse_pipeline_config(
-            config_path.read_text(encoding="utf-8"), source=str(config_path)
-        )
-    except PipelineConfigError as exc:
-        raise click.ClickException(str(exc))
+    declared, stages = parse_pipeline(
+        config_path.read_text(encoding="utf-8"), str(config_path), _stage_action
+    )
     env = os.environ.get("APEFORGE_WORKSPACE")
     if env:
         workspace = Path(env)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Sentence = tuple[str, ...]
 
@@ -39,7 +39,7 @@ class CorpusError(Exception):
 
 
 class ParseError(CorpusError):
-    """A line could not be turned into a Sentence."""
+    """A line of an input file could not be parsed."""
 
 
 class AlignmentError(CorpusError):
@@ -114,6 +114,15 @@ class Vocab:
 def sentence(line: str) -> Sentence:
     """Split a pre-tokenized line on whitespace runs."""
     return tuple(line.split())
+
+
+def config_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered non-blank lines of a config file (train, decoder, pipeline),
+    each stripped, with `#` starting a comment anywhere in the line."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def read_sentences(path: str | Path) -> list[Sentence]:

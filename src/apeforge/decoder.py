@@ -8,13 +8,14 @@ copy-bias feature that penalizes tokens absent from a designated input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Vocab, escape, unescape
+from .corpus import Sentence, Vocab, config_lines, escape, unescape
+from .nmt import checkpoint as ckpt
 from .nmt.model import DecodeState, Seq2SeqModel
 
 BOS = Vocab.BOS
@@ -309,15 +310,13 @@ class DecoderConfig:
     pep: tuple[str, float] | None = None  # (input selector, weight)
 
 
-def parse_decoder_config(text: str) -> DecoderConfig:
+def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
     """Line format: `scorer <name> model=<path> input=mt|src weight=<w>` or
-    `feature pep input=mt|union weight=<w>`; '#' starts a comment."""
+    `feature pep input=mt|union weight=<w>`; '#' starts a comment. Error
+    messages start with `source`."""
     scorers = []
     pep = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in config_lines(text):
         fields = line.split()
         try:
             if fields[0] == "scorer":
@@ -338,7 +337,54 @@ def parse_decoder_config(text: str) -> DecoderConfig:
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:
-            raise AssemblyError(f"config line {lineno}: {exc}") from exc
+            raise AssemblyError(f"{source}: line {lineno}: {exc}") from exc
     if not scorers:
-        raise AssemblyError("config declares no scorers")
+        raise AssemblyError(f"{source}: config declares no scorers")
     return DecoderConfig(scorers=tuple(scorers), pep=pep)
+
+
+class Ensemble:
+    """Decoder config resolved against its model files."""
+
+    def __init__(self, config: DecoderConfig):
+        self.config = config
+        self.models = {}
+        for name, model_path, _sel, _w in config.scorers:
+            model = ckpt.load(model_path)
+            self.models[name] = (model, NmtScorer(model))
+        self.tgt_vocab = next(iter(self.models.values()))[0].tgt_vocab
+
+    def needs_src(self) -> bool:
+        if any(sel == "src" for _, _, sel, _ in self.config.scorers):
+            return True
+        return self.config.pep is not None and self.config.pep[0] == "union"
+
+    def bindings_for(self, mt, src):
+        bindings = []
+        for name, _path, sel, weight in self.config.scorers:
+            sent = mt if sel == "mt" else src
+            model, scorer = self.models[name]
+            bindings.append(
+                ScorerBinding(name, scorer, tuple(model.src_vocab.ids(sent)), weight)
+            )
+        pep = None
+        if self.config.pep is not None:
+            sel, weight = self.config.pep
+            units = tuple(mt)
+            if sel == "union":
+                units = units + tuple(src)
+            pep = PepFeature.from_units(units, self.tgt_vocab, weight)
+        return bindings, pep
+
+
+def reweight(
+    bindings: Sequence[ScorerBinding],
+    pep: PepFeature | None,
+    weights: Mapping[str, float],
+) -> tuple[list[ScorerBinding], PepFeature | None]:
+    """The bindings and copy-bias feature with weights looked up by feature
+    name (`pep` for the feature); a name `weights` omits keeps its weight."""
+    bindings = [replace(b, weight=weights.get(b.name, b.weight)) for b in bindings]
+    if pep is not None:
+        pep = replace(pep, weight=weights.get(PEP_NAME, pep.weight))
+    return bindings, pep

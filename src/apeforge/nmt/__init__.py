@@ -20,6 +20,7 @@ from .training import (
     dev_loss,
     exact_accuracy,
     greedy_decode,
+    read_train_config,
     train,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "greedy_decode",
     "init_model",
     "load",
+    "read_train_config",
     "save",
     "train",
 ]

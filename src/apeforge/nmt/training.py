@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..corpus import ParseError, config_lines
 from . import checkpoint as ckpt
 from .model import (
     BOS,
@@ -43,6 +44,47 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_sentence_length < 2:
             raise ValueError("max_sentence_length must be >= 2")
+
+
+# Training-config keys and the type each value converts to.
+_KEY_TYPES = {
+    **dict.fromkeys(
+        ("embedding_dim", "hidden_dim", "init_seed", "batch_size", "max_sentence_length",
+         "epochs", "shuffle_seed", "checkpoint_every", "max_iterations", "log_every"),
+        int,
+    ),
+    **dict.fromkeys(("rho", "epsilon", "clip_norm"), float),
+    "fine_tune_from": str,
+}
+
+
+def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
+    """`key value` lines; '#' comments. Keys split into model size
+    (embedding_dim, hidden_dim, init_seed), returned as init_model keyword
+    arguments, and the training schedule, returned as a TrainConfig."""
+    values = {}
+    for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"{path}: line {lineno}: expected 'key value'")
+        key, value = fields
+        if key not in _KEY_TYPES:
+            raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _KEY_TYPES[key](value)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
+            ) from None
+    model_kw = {
+        "embedding_dim": values.pop("embedding_dim", 32),
+        "hidden_dim": values.pop("hidden_dim", 32),
+        "seed": values.pop("init_seed", 0),
+    }
+    try:
+        return model_kw, TrainConfig(**values)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import shlex
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Triplet
+from .corpus import ParseError, Sentence, Triplet, config_lines
 from .decoder import NmtScorer, ScorerBinding, decode
 from .nmt.model import Seq2SeqModel
 
@@ -73,6 +74,22 @@ class NoiseSpec:
     @property
     def total_rate(self) -> float:
         return self.substitution + self.deletion + self.insertion + self.swap
+
+
+def read_confusion(path: str | Path) -> dict[str, tuple[str, ...]]:
+    """Confusion table: one `token alternative...` line per token; a line
+    starting with '#' is a comment."""
+    table = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) < 2:
+                raise ParseError(f"{path}: line {lineno}: expected 'token alternative...'")
+            table[fields[0]] = tuple(fields[1:])
+    return table
 
 
 def corrupt(sent: Sequence[str], spec: NoiseSpec, rng: np.random.Generator) -> Sentence:
@@ -168,6 +185,91 @@ class Stage:
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     deps: tuple[str, ...] = ()
+
+
+def parse_config(
+    text: str,
+    source: str,
+    action_for: Callable[[list[str]], Callable[[Path], None]],
+) -> tuple[str | None, list[Stage]]:
+    """Line-oriented stage declarations.
+
+    Outside a block: `workspace <dir>` (optional, once). A block is
+
+        stage <name>
+          in <file> ...
+          out <file> ...
+          deps <stage> ...
+          cmd <subcommand and arguments>
+        end
+
+    with `in`, `out` and `deps` optional and repeatable; `cmd` is required.
+    '#' starts a comment. A stage's action is `action_for(args)`, where args
+    are the shell-split `cmd` words without a leading `apeforge`. Returns
+    (workspace or None, stages); errors start with `source`.
+    """
+    workspace = None
+    stages: list[Stage] = []
+    current = None
+
+    def fail(lineno, message):
+        raise ParseError(f"{source}: line {lineno}: {message}")
+
+    for lineno, line in config_lines(text):
+        fields = line.split()
+        directive = fields[0]
+        if current is None:
+            if directive == "workspace":
+                if len(fields) != 2:
+                    fail(lineno, "workspace takes one path")
+                if workspace is not None:
+                    fail(lineno, "duplicate workspace directive")
+                workspace = fields[1]
+            elif directive == "stage":
+                if len(fields) != 2:
+                    fail(lineno, "stage takes one name")
+                current = {
+                    "name": fields[1],
+                    "in": [],
+                    "out": [],
+                    "deps": [],
+                    "cmd": None,
+                }
+            else:
+                fail(lineno, f"unknown directive {directive!r}")
+            continue
+        if directive in ("in", "out", "deps"):
+            if len(fields) < 2:
+                fail(lineno, f"{directive} needs at least one value")
+            current[directive].extend(fields[1:])
+        elif directive == "cmd":
+            if current["cmd"] is not None:
+                fail(lineno, f"stage {current['name']!r} has two cmd lines")
+            rest = line.split(None, 1)
+            if len(rest) < 2:
+                fail(lineno, "cmd needs a command line")
+            current["cmd"] = shlex.split(rest[1])
+        elif directive == "end":
+            if current["cmd"] is None:
+                fail(lineno, f"stage {current['name']!r} has no cmd")
+            args = current["cmd"]
+            if args and args[0] == "apeforge":
+                args = args[1:]
+            stages.append(
+                Stage(
+                    name=current["name"],
+                    action=action_for(args),
+                    inputs=tuple(current["in"]),
+                    outputs=tuple(current["out"]),
+                    deps=tuple(current["deps"]),
+                )
+            )
+            current = None
+        else:
+            fail(lineno, f"unknown stage directive {directive!r}")
+    if current is not None:
+        raise ParseError(f"{source}: stage {current['name']!r} not closed with 'end'")
+    return workspace, stages
 
 
 @dataclass

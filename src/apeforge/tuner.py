@@ -12,13 +12,14 @@ than it started on that pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Triplet
-from .decoder import NBestList, PepFeature, ScorerBinding, decode
+from .corpus import ParseError, Sentence, Triplet
+from .decoder import NBestList, PepFeature, ScorerBinding, decode, reweight
 from .metrics import corpus_ter, ter
 
 FeatureWeights = dict[str, float]
@@ -207,12 +208,38 @@ def tune(
     def pool_for(weights: FeatureWeights) -> list[NBestList]:
         fresh = []
         for i, triplet in enumerate(dev):
-            bindings, pep = binding_factory(triplet)
-            bindings = [replace(b, weight=weights[b.name]) for b in bindings]
-            if pep is not None:
-                pep = PepFeature(allowed=pep.allowed, weight=weights["pep"])
+            bindings, pep = reweight(*binding_factory(triplet), weights)
             fresh.append(decode(bindings, pep=pep, beam=cfg.beam, sentence_id=i))
         _merge(pool, fresh)
         return [NBestList(sentence_id=i, entries=tuple(pool[i])) for i in sorted(pool)]
 
     return _search(pool_for, [t.pe for t in dev], initial, cfg)
+
+
+def write_weights(path: str | Path, weights: Mapping[str, float]) -> None:
+    """One `name<TAB>weight` line per feature, sorted by name, weights at
+    six decimals; `decode --weights` reads the file back."""
+    lines = [f"{name}\t{weights[name]:.6f}" for name in sorted(weights)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_weights(path: str | Path) -> FeatureWeights:
+    """Inverse of write_weights. Blank lines are skipped; the format has no
+    comments."""
+    weights = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"{path}: line {lineno}: expected 'name<TAB>value'")
+            name, value = fields
+            try:
+                weights[name] = float(value)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {lineno}: bad weight {value!r} for {name!r}"
+                ) from None
+    return weights

@@ -347,6 +347,25 @@ class TestNmtCommands:
         assert not isinstance(result.exception, ValueError)
         assert f"{cfg}: line 2: bad value 'ten' for key 'epochs'" in result.output
 
+    def test_out_of_range_config_value_fails(self, runner, tmp_path):
+        for name in ("src.txt", "tgt.txt"):
+            write(tmp_path / name, ["a b"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch_size 0\n")
+        result = runner.invoke(
+            cli,
+            [
+                "nmt", "train",
+                "--src", str(tmp_path / "src.txt"),
+                "--tgt", str(tmp_path / "tgt.txt"),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{cfg}: batch_size must be >= 1" in result.output
+
     def test_grad_check_passes(self, runner):
         result = runner.invoke(cli, ["nmt", "grad-check"])
         assert result.exit_code == 0, result.output
@@ -422,6 +441,25 @@ class TestDecodeCommand:
         assert first.combined == pytest.approx(
             0.5 * first.feature("mt") + 2.0 * first.feature("pep"), abs=2e-6
         )
+
+    def test_non_numeric_weight_fails(self, runner, tmp_path, copy_checkpoint):
+        model_path, text, _ = copy_checkpoint
+        cfg = self._config(tmp_path, model_path)
+        weights = tmp_path / "weights.txt"
+        weights.write_text("pep\t1.000000\nmt\tabc\n")
+        result = runner.invoke(
+            cli,
+            [
+                "decode",
+                "--config", str(cfg),
+                "--mt", str(text),
+                "--weights", str(weights),
+                "--out", str(tmp_path / "nbest.txt"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{weights}: line 2: bad weight 'abc' for 'mt'" in result.output
 
     def test_src_input_requires_src_file(self, runner, tmp_path, copy_checkpoint):
         model_path, text, _ = copy_checkpoint
@@ -673,3 +711,77 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert isinstance(result.exception, Exception)
         assert "broken" in str(result.exception)
+
+
+def _empty_hyp_line(tmp_path):
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("ein haus\n\nder hund\n", encoding="utf-8")
+    write(tmp_path / "ref.txt", ["ein haus", "am see", "der hund"])
+    args = ["eval", "--metric", "ter", "--hyp", str(hyp), "--ref", str(tmp_path / "ref.txt")]
+    return args, hyp
+
+
+def _misaligned_pool(tmp_path):
+    triplets = [Triplet(src=("s",), mt=("a", "b"), pe=("a", "b"))] * 2
+    write_triplets(tmp_path / "pool", triplets)
+    write_triplets(tmp_path / "ref", triplets)
+    write(tmp_path / "pool.mt", ["a b"])
+    args = [
+        "select", "ter",
+        "--pool", str(tmp_path / "pool"),
+        "--reference", str(tmp_path / "ref"),
+        "--n", "1",
+        "--out", str(tmp_path / "picked"),
+        "--report", str(tmp_path / "stats.txt"),
+    ]
+    return args, tmp_path / "pool.mt"
+
+
+def _decode_args(tmp_path, scorer_line):
+    cfg = tmp_path / "decoder.cfg"
+    write(cfg, [scorer_line])
+    write(tmp_path / "mt.txt", ["a b"])
+    args = [
+        "decode",
+        "--config", str(cfg),
+        "--mt", str(tmp_path / "mt.txt"),
+        "--out", str(tmp_path / "nbest.txt"),
+    ]
+    return args, cfg
+
+
+def _bad_scorer_input(tmp_path):
+    return _decode_args(tmp_path, "scorer m model=m.bin input=ref weight=1")
+
+
+def _missing_model(tmp_path):
+    model = tmp_path / "missing.bin"
+    args, _ = _decode_args(tmp_path, f"scorer m model={model} input=mt weight=1")
+    return args, model
+
+
+def _one_field_mix_line(tmp_path):
+    spec = tmp_path / "mix.txt"
+    write(spec, [str(tmp_path / "a")])
+    return ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")], spec
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        _empty_hyp_line,
+        _misaligned_pool,
+        _bad_scorer_input,
+        _missing_model,
+        _one_field_mix_line,
+    ],
+)
+def test_input_error_is_one_error_line(runner, tmp_path, make_case):
+    """A named input error ends the command with `Error: <file>: ...` and
+    status 1, not a traceback."""
+    args, named = make_case(tmp_path)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error:")
+    assert str(named) in result.output

@@ -16,6 +16,7 @@ from apeforge.decoder import (
     decode,
     parse_decoder_config,
     read_nbest,
+    reweight,
     write_nbest,
 )
 
@@ -392,6 +393,38 @@ class TestNBestFiles:
         )
         with pytest.raises(NBestParseError, match="line 2"):
             read_nbest(path)
+
+
+class TestReweight:
+    def _ensemble(self):
+        vocab = stub_vocab()
+        scorer = TableScorer(vocab, stub_row(vocab))
+        bindings = [
+            ScorerBinding("mt", scorer, (4,), 0.5),
+            ScorerBinding("src", scorer, (5,), 0.25),
+        ]
+        return bindings, PepFeature.from_units(["u"], vocab, 1.0)
+
+    def test_named_weights_override(self):
+        bindings, pep = self._ensemble()
+        new, new_pep = reweight(bindings, pep, {"mt": 2.0, "src": 3.0, "pep": 4.0})
+        assert [b.weight for b in new] == [2.0, 3.0]
+        assert new_pep.weight == 4.0
+        assert new_pep.allowed == pep.allowed
+        assert [b.input_ids for b in new] == [(4,), (5,)]
+
+    def test_omitted_name_keeps_its_weight(self):
+        # a tuned weights file holding only `pep` leaves the scorers as declared
+        bindings, pep = self._ensemble()
+        new, new_pep = reweight(bindings, pep, {"pep": 2.0})
+        assert [b.weight for b in new] == [0.5, 0.25]
+        assert new_pep.weight == 2.0
+
+    def test_no_pep_stays_none(self):
+        bindings, _ = self._ensemble()
+        new, new_pep = reweight(bindings, None, {"pep": 2.0, "mt": 1.0})
+        assert new_pep is None
+        assert [b.weight for b in new] == [1.0, 0.25]
 
 
 class TestConfigParsing:

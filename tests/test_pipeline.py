@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from apeforge.corpus import Triplet, Vocab
+from apeforge.corpus import ParseError, Triplet, Vocab
 from apeforge.metrics import corpus_ter, ter
 from apeforge.nmt import TrainConfig, init_model, train
 from apeforge.pipeline import (
@@ -17,6 +17,7 @@ from apeforge.pipeline import (
     cipher,
     cipher_token,
     corrupt,
+    parse_config,
     roundtrip_generate,
     run,
     synth_corrupt,
@@ -255,6 +256,28 @@ def _concat_stage(name, src, dst, deps=()):
         (ws / dst).write_text((ws / src).read_text() + f"+{name}")
 
     return Stage(name=name, action=action, inputs=(src,), outputs=(dst,), deps=tuple(deps))
+
+
+class TestParseConfig:
+    def test_stage_block_builds_action_from_cmd(self):
+        seen = []
+        workspace, stages = parse_config(
+            "workspace ws  # relative\n"
+            "stage a\n"
+            "in x.txt\n"
+            "out y.txt z.txt\n"
+            "cmd apeforge eval --hyp 'a b.txt'\n"
+            "end\n",
+            "pipe.cfg",
+            lambda args: seen.append(args) or len(seen),
+        )
+        assert workspace == "ws"
+        assert seen == [["eval", "--hyp", "a b.txt"]]
+        assert stages == [Stage("a", 1, inputs=("x.txt",), outputs=("y.txt", "z.txt"))]
+
+    def test_unclosed_stage_rejected(self):
+        with pytest.raises(ParseError, match="pipe.cfg: stage 'a' not closed"):
+            parse_config("stage a\ncmd eval\n", "pipe.cfg", lambda args: None)
 
 
 class TestStageGraph:

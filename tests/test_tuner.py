@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from apeforge.corpus import Triplet, Vocab
+from apeforge.corpus import ParseError, Triplet, Vocab
 from apeforge.decoder import NBestEntry, NBestList, ScorerBinding
 from apeforge.metrics import ter
 from apeforge.tuner import (
     TuneConfig,
     TunerConfigError,
     mira_epochs,
+    read_weights,
     rerank,
     rerank_corpus_ter,
     tune,
     tune_on_lists,
+    write_weights,
 )
 
 
@@ -288,3 +290,26 @@ class TestTuneEndToEnd:
     def test_empty_dev_rejected(self):
         with pytest.raises(ValueError):
             tune([], lambda t: ([], None), TuneConfig())
+
+
+class TestWeightsFile:
+    def test_round_trip_at_six_decimals(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        write_weights(path, {"src2pe": 0.1234567, "mt2pe": -2.5, "pep": 1e-7})
+        assert path.read_text() == (
+            "mt2pe\t-2.500000\npep\t0.000000\nsrc2pe\t0.123457\n"
+        )
+        assert read_weights(path) == {"mt2pe": -2.5, "pep": 0.0, "src2pe": 0.123457}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mt 0.5\n", "line 1: expected 'name<TAB>value'"),
+            ("mt\t0.5\n\npep\tabc\n", "line 3: bad weight 'abc' for 'pep'"),
+        ],
+    )
+    def test_malformed_line_rejected(self, tmp_path, text, message):
+        path = tmp_path / "weights.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_weights(path)
