@@ -37,6 +37,7 @@ from .decoder import (
 )
 from .metrics import bleu, corpus_ter, ter
 from .ngram_lm import (
+    LmError,
     corpus_cross_entropy,
     read_arpa,
     select_by_xent,
@@ -55,7 +56,7 @@ from .pipeline import (
     synth_corrupt,
 )
 from .report import evaluate_systems, format_table, format_tsv
-from .subword import apply_bpe, learn_bpe, load_model, revert_bpe, save_model
+from .subword import SubwordError, apply_bpe, learn_bpe, load_model, revert_bpe, save_model
 from .triplet_select import (
     SelectionConfig,
     knn_select,
@@ -66,7 +67,8 @@ from .tuner import TuneConfig, read_weights, tune, write_weights
 
 # Named errors for bad input files; each message names the file.
 _INPUT_ERRORS = (
-    CorpusError, AssemblyError, NBestParseError, ckpt.CheckpointError, PipelineConfigError
+    CorpusError, AssemblyError, NBestParseError, ckpt.CheckpointError, PipelineConfigError,
+    LmError, SubwordError,
 )
 
 
@@ -484,6 +486,16 @@ def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, se
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def report_cmd(ref_path, mt_path, systems, tsv, out_path):
     """Score table of systems against the reference, baseline included."""
+    refs = read_sentences(ref_path)
+
+    def read_aligned(path):
+        lines = read_sentences(path)
+        if len(lines) != len(refs):
+            raise click.ClickException(
+                f"{path}: {len(lines)} lines vs {len(refs)} in {ref_path}"
+            )
+        return lines
+
     table = {}
     for item in systems:
         name, sep, path = item.partition("=")
@@ -491,8 +503,8 @@ def report_cmd(ref_path, mt_path, systems, tsv, out_path):
             raise click.UsageError(f"--system expects name=FILE, got {item!r}")
         if name in table:
             raise click.UsageError(f"duplicate system name {name!r}")
-        table[name] = read_sentences(path)
-    rows = evaluate_systems(table, read_sentences(mt_path), read_sentences(ref_path))
+        table[name] = read_aligned(path)
+    rows = evaluate_systems(table, read_aligned(mt_path), refs)
     text = format_tsv(rows) if tsv else format_table(rows)
     if out_path is not None:
         Path(out_path).write_text(text, encoding="utf-8")

@@ -151,10 +151,14 @@ def triplet_paths(prefix: str | Path) -> tuple[Path, Path, Path]:
 def read_triplets(prefix: str | Path) -> list[Triplet]:
     """Load line-aligned .src/.mt/.pe files into triplets.
 
-    Raises AlignmentError naming the offending file when line counts differ,
+    Raises CorpusError naming the first missing file before reading any,
+    AlignmentError naming the offending file when line counts differ,
     ParseError on empty lines.
     """
     paths = triplet_paths(prefix)
+    for path in paths:
+        if not path.exists():
+            raise CorpusError(f"{path}: no such file")
     sides = [read_sentences(p) for p in paths]
     counts = [len(s) for s in sides]
     if len(set(counts)) != 1:

@@ -9,7 +9,7 @@ counts. Scores are percentages of the reference length.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, log
 from typing import Sequence
 
@@ -53,18 +53,6 @@ class TerAlignment:
     @property
     def num_edits(self) -> int:
         return self.insertions + self.deletions + self.substitutions + self.shifts
-
-
-@dataclass(frozen=True)
-class TripletStats:
-    """Per-triplet TER statistics of the mt/pe pair, as used for filtering."""
-
-    num_words_pe: int
-    num_words_mt: int
-    shifts: int
-    num_errors: int
-    ter: float
-    edits: TerAlignment = field(compare=False, default=None)
 
 
 def _lev_cost(hyp: Sequence[str], ref: Sequence[str]) -> int:
@@ -261,19 +249,6 @@ def ter(
         ref_len=len(ref),
         ter=100.0 * total / len(ref),
         shift_trace=tuple(trace),
-    )
-
-
-def triplet_stats(triplet) -> TripletStats:
-    """TER statistics of a triplet's mt output against its post-edit."""
-    alignment = ter(triplet.mt, triplet.pe)
-    return TripletStats(
-        num_words_pe=len(triplet.pe),
-        num_words_mt=len(triplet.mt),
-        shifts=alignment.shifts,
-        num_errors=alignment.num_edits,
-        ter=alignment.ter,
-        edits=alignment,
     )
 
 

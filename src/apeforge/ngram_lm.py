@@ -285,20 +285,27 @@ def write_arpa(lm: NgramLm, path: str | Path) -> None:
         fh.write("\n\\end\\\n")
 
 
+def _arpa_number(kind, text, path, lineno):
+    try:
+        return kind(text)
+    except ValueError:
+        raise LmError(f"{path}: line {lineno}: not a number: {text!r}") from None
+
+
 def read_arpa(path: str | Path) -> NgramLm:
     probs: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
     order = 0
     section = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line == "\\data\\" or line.startswith("ngram "):
                 continue
             if line == "\\end\\":
                 break
             if line.endswith("-grams:") and line.startswith("\\"):
-                section = int(line[1:].split("-")[0])
+                section = _arpa_number(int, line[1:].split("-")[0], path, lineno)
                 order = max(order, section)
                 continue
             if section == 0:
@@ -306,12 +313,12 @@ def read_arpa(path: str | Path) -> NgramLm:
             fields = line.split("\t")
             if len(fields) not in (2, 3):
                 raise LmError(f"{path}: malformed n-gram line: {line!r}")
-            lp = float(fields[0])
+            lp = _arpa_number(float, fields[0], path, lineno)
             gram = tuple(fields[1].split(" "))
             if len(gram) != section:
                 raise LmError(f"{path}: {len(gram)}-gram in {section}-gram section")
             if len(fields) == 3:
-                bows[gram] = 10.0 ** float(fields[2])
+                bows[gram] = 10.0 ** _arpa_number(float, fields[2], path, lineno)
             if gram == (BOS,) and lp <= LOG10_FLOOR + 1.0:
                 continue  # begin marker is context only, not an event
             probs[gram] = 10.0 ** lp

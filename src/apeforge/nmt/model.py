@@ -193,7 +193,9 @@ class _GruStep:
 
 
 class _Encoder:
-    """Bidirectional encoder pass with cached per-step state."""
+    """Bidirectional encoder pass with cached per-step state, plus what every
+    decoder step reads from it: the initial decoder state `s0` and the
+    attention keys `u_cached`."""
 
     def __init__(self, model, src_ids, src_mask):
         p = model.params
@@ -201,72 +203,72 @@ class _Encoder:
         self.src_mask = src_mask
         self.x = p["src_emb"][src_ids]  # (B, Ts, E)
         b, ts, _ = self.x.shape
-        h = model.hidden_dim
 
-        self.fwd_steps: list[_GruStep] = []
-        state = np.zeros((b, h))
-        for j in range(ts):
-            step = _GruStep(p, "enc_f", self.x[:, j], state, src_mask[:, j])
-            self.fwd_steps.append(step)
-            state = step.h
+        # (GRU prefix, positions in processing order, steps by position)
+        self.directions = []
+        for prefix, positions in (("enc_f", range(ts)), ("enc_b", range(ts)[::-1])):
+            steps = [None] * ts
+            state = np.zeros((b, model.hidden_dim))
+            for j in positions:
+                steps[j] = _GruStep(p, prefix, self.x[:, j], state, src_mask[:, j])
+                state = steps[j].h
+            self.directions.append((prefix, positions, steps))
 
-        self.bwd_steps: list[_GruStep] = []
-        state = np.zeros((b, h))
-        for j in reversed(range(ts)):
-            step = _GruStep(p, "enc_b", self.x[:, j], state, src_mask[:, j])
-            self.bwd_steps.append(step)  # stored in reverse position order
-            state = step.h
-
-        fwd = np.stack([s.h for s in self.fwd_steps], axis=1)
-        bwd = np.stack([s.h for s in reversed(self.bwd_steps)], axis=1)
-        self.annotations = np.concatenate([fwd, bwd], axis=2)  # (B, Ts, 2H)
+        self.annotations = np.concatenate(
+            [np.stack([s.h for s in steps], axis=1) for _, _, steps in self.directions],
+            axis=2,
+        )  # (B, Ts, 2H)
         self.lengths = src_mask.sum(axis=1)
         self.mean = (
             (self.annotations * src_mask[:, :, None]).sum(axis=1)
             / self.lengths[:, None]
         )
+        self.s0 = np.tanh(self.mean @ p["init_W"].T + p["init_b"])
+        self.u_cached = self.annotations @ p["att_U"].T  # (B, Ts, A)
 
-    def backward(self, model, d_annotations, d_mean, grads):
+    def backward(self, model, d_annotations, d_u, ds0, grads):
+        """Back-propagate dL/d(annotations), dL/d(u_cached) and dL/d(s0)."""
         p = model.params
-        b, ts, _ = self.x.shape
         h = model.hidden_dim
+
+        # initial state projection
+        dpre0 = ds0 * (1.0 - self.s0**2)
+        grads["init_W"] += dpre0.T @ self.mean
+        grads["init_b"] += dpre0.sum(axis=0)
+        d_mean = dpre0 @ p["init_W"]
+
+        # attention keys used by every decoder step
+        grads["att_U"] += np.einsum("bta,btd->ad", d_u, self.annotations)
+        d_annotations += d_u @ p["att_U"]
+
         dh_all = d_annotations + (
             d_mean[:, None, :] * self.src_mask[:, :, None] / self.lengths[:, None, None]
         )
         dx = np.zeros_like(self.x)
-
-        carry = np.zeros((b, h))
-        for j in reversed(range(ts)):
-            dxj, carry = self.fwd_steps[j].backward(
-                p, "enc_f", dh_all[:, j, :h] + carry, grads
-            )
-            dx[:, j] += dxj
-        # bwd_steps[k] processed position ts-1-k; unroll in reverse of
-        # processing order, which is forward position order
-        carry = np.zeros((b, h))
-        for k in reversed(range(ts)):
-            pos = ts - 1 - k
-            dxj, carry = self.bwd_steps[k].backward(
-                p, "enc_b", dh_all[:, pos, h:] + carry, grads
-            )
-            dx[:, pos] += dxj
+        for k, (prefix, positions, steps) in enumerate(self.directions):
+            carry = np.zeros_like(ds0)
+            for j in reversed(positions):
+                dxj, carry = steps[j].backward(
+                    p, prefix, dh_all[:, j, k * h : (k + 1) * h] + carry, grads
+                )
+                dx[:, j] += dxj
 
         np.add.at(grads["src_emb"], self.src_ids, dx)
 
 
 class _AttentionStep:
-    """Additive attention with cached tensors for backward."""
+    """Additive attention over an encoder's annotations, with cached
+    tensors for backward."""
 
-    def __init__(self, p, s_prev, annotations, u_cached, src_mask):
+    def __init__(self, p, s_prev, encoder):
         self.s_prev = s_prev
-        self.annotations = annotations
-        self.src_mask = src_mask
+        self.annotations = encoder.annotations
         self.q = s_prev @ p["att_W"].T  # (B, A)
-        self.g = np.tanh(self.q[:, None, :] + u_cached + p["att_b"])  # (B,Ts,A)
+        self.g = np.tanh(self.q[:, None, :] + encoder.u_cached + p["att_b"])  # (B,Ts,A)
         scores = self.g @ p["att_v"]  # (B, Ts)
-        scores = np.where(src_mask > 0, scores, -1e30)
+        scores = np.where(encoder.src_mask > 0, scores, -1e30)
         self.alpha = _softmax(scores)
-        self.ctx = (self.alpha[:, :, None] * annotations).sum(axis=1)
+        self.ctx = (self.alpha[:, :, None] * self.annotations).sum(axis=1)
 
     def backward(self, p, dctx, grads):
         """Returns (ds_prev, d_annotations, d_u_cached)."""
@@ -284,20 +286,42 @@ class _AttentionStep:
         return ds_prev, d_annotations, dpre
 
 
+class _DecoderStep:
+    """One target position for B rows: attention from the previous state,
+    the `dec` GRU fed [previous target embedding; context], and the output
+    log-distribution over [new state; context; previous embedding]. Training
+    runs it teacher-forced over a batch; decoding runs it on one row."""
+
+    __slots__ = ("att", "gru", "feat", "logp")
+
+    def __init__(self, p, encoder, s_prev, prev_ids, mask, debug=False):
+        self.att = _AttentionStep(p, s_prev, encoder)
+        if debug:
+            sums = self.att.alpha.sum(axis=1)
+            assert np.allclose(sums, 1.0, atol=1e-6), "attention not normalized"
+        e_prev = p["tgt_emb"][prev_ids]
+        x = np.concatenate([e_prev, self.att.ctx], axis=1)
+        self.gru = _GruStep(p, "dec", x, s_prev, mask)
+        self.feat = np.concatenate([self.gru.h, self.att.ctx, e_prev], axis=1)
+        self.logp = _log_softmax(self.feat @ p["out_W"].T + p["out_b"])
+        if debug:
+            assert np.allclose(
+                np.exp(self.logp).sum(axis=1), 1.0, atol=1e-6
+            ), "output distribution not normalized"
+
+
 @dataclass
 class _ForwardCache:
     encoder: _Encoder
-    s0_pre: np.ndarray
-    attention: list[_AttentionStep]
-    dec_steps: list[_GruStep]
-    prev_emb: list[np.ndarray]
-    feats: list[np.ndarray]
-    probs: list[np.ndarray]
-    logps: list[np.ndarray]
+    steps: list[_DecoderStep]
     tgt_in: np.ndarray
     tgt_out: np.ndarray
     tgt_mask: np.ndarray
     n_tokens: float
+
+    @property
+    def logps(self) -> list[np.ndarray]:
+        return [step.logp for step in self.steps]
 
 
 def forward_batch(
@@ -316,60 +340,20 @@ def forward_batch(
     _check_ids(tgt_out, len(model.tgt_vocab), "target")
 
     enc = _Encoder(model, src_ids, src_mask)
-    s0_pre = enc.mean @ p["init_W"].T + p["init_b"]
-    state = np.tanh(s0_pre)
-    u_cached = enc.annotations @ p["att_U"].T  # (B, Ts, A)
-
-    attention: list[_AttentionStep] = []
-    dec_steps: list[_GruStep] = []
-    prev_embs: list[np.ndarray] = []
-    feats: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    logps: list[np.ndarray] = []
+    state = enc.s0
+    steps: list[_DecoderStep] = []
     loss = 0.0
     n_tokens = tgt_mask.sum()
     b, tt = tgt_in.shape
     rows = np.arange(b)
 
     for t in range(tt):
-        att = _AttentionStep(p, state, enc.annotations, u_cached, src_mask)
-        if debug:
-            sums = att.alpha.sum(axis=1)
-            assert np.allclose(sums, 1.0, atol=1e-6), "attention not normalized"
-        e_prev = p["tgt_emb"][tgt_in[:, t]]
-        x = np.concatenate([e_prev, att.ctx], axis=1)
-        step = _GruStep(p, "dec", x, state, tgt_mask[:, t])
-        state = step.h
-        feat = np.concatenate([state, att.ctx, e_prev], axis=1)
-        logits = feat @ p["out_W"].T + p["out_b"]
-        logp = _log_softmax(logits)
-        if debug:
-            assert np.allclose(
-                np.exp(logp).sum(axis=1), 1.0, atol=1e-6
-            ), "output distribution not normalized"
-        loss -= (logp[rows, tgt_out[:, t]] * tgt_mask[:, t]).sum()
+        step = _DecoderStep(p, enc, state, tgt_in[:, t], tgt_mask[:, t], debug)
+        state = step.gru.h
+        loss -= (step.logp[rows, tgt_out[:, t]] * tgt_mask[:, t]).sum()
+        steps.append(step)
 
-        attention.append(att)
-        dec_steps.append(step)
-        prev_embs.append(e_prev)
-        feats.append(feat)
-        probs.append(np.exp(logp))
-        logps.append(logp)
-
-    cache = _ForwardCache(
-        encoder=enc,
-        s0_pre=s0_pre,
-        attention=attention,
-        dec_steps=dec_steps,
-        prev_emb=prev_embs,
-        feats=feats,
-        probs=probs,
-        logps=logps,
-        tgt_in=tgt_in,
-        tgt_out=tgt_out,
-        tgt_mask=tgt_mask,
-        n_tokens=float(n_tokens),
-    )
+    cache = _ForwardCache(enc, steps, tgt_in, tgt_out, tgt_mask, float(n_tokens))
     return float(loss / n_tokens), cache
 
 
@@ -384,26 +368,27 @@ def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.nd
     rows = np.arange(b)
 
     d_annotations = np.zeros_like(enc.annotations)
-    d_u = np.zeros_like(enc.annotations @ p["att_U"].T)
+    d_u = np.zeros_like(enc.u_cached)
     ds = np.zeros((b, h))
 
     for t in reversed(range(tt)):
-        dlogits = cache.probs[t].copy()
+        step = cache.steps[t]
+        dlogits = np.exp(step.logp)
         dlogits[rows, cache.tgt_out[:, t]] -= 1.0
         dlogits *= cache.tgt_mask[:, t][:, None] / cache.n_tokens
 
-        grads["out_W"] += dlogits.T @ cache.feats[t]
+        grads["out_W"] += dlogits.T @ step.feat
         grads["out_b"] += dlogits.sum(axis=0)
         dfeat = dlogits @ p["out_W"]
         ds_t = ds + dfeat[:, :h]
         dctx = dfeat[:, h : h + ctx_dim]
         de_prev = dfeat[:, h + ctx_dim :]
 
-        dx, ds_prev = cache.dec_steps[t].backward(p, "dec", ds_t, grads)
+        dx, ds_prev = step.gru.backward(p, "dec", ds_t, grads)
         de_prev += dx[:, :e]
         dctx += dx[:, e:]
 
-        ds_att, d_ann_t, dpre_t = cache.attention[t].backward(p, dctx, grads)
+        ds_att, d_ann_t, dpre_t = step.att.backward(p, dctx, grads)
         ds_prev += ds_att
         d_annotations += d_ann_t
         d_u += dpre_t
@@ -411,18 +396,7 @@ def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.nd
         np.add.at(grads["tgt_emb"], cache.tgt_in[:, t], de_prev)
         ds = ds_prev
 
-    # initial state projection
-    s0 = np.tanh(cache.s0_pre)
-    dpre0 = ds * (1.0 - s0**2)
-    grads["init_W"] += dpre0.T @ enc.mean
-    grads["init_b"] += dpre0.sum(axis=0)
-    d_mean = dpre0 @ p["init_W"]
-
-    # cached U @ annotations used by every attention step
-    grads["att_U"] += np.einsum("bta,btd->ad", d_u, enc.annotations)
-    d_annotations += d_u @ p["att_U"]
-
-    enc.backward(model, d_annotations, d_mean, grads)
+    enc.backward(model, d_annotations, d_u, ds, grads)
     return grads
 
 
@@ -464,8 +438,6 @@ def forward(
     """
     _check_ids(src, len(model.src_vocab), "source")
     _check_ids(tgt_prefix, len(model.tgt_vocab), "target")
-    if not src:
-        raise InputError("empty source sequence")
     state = DecodeState.start(model, src)
     logp = None
     for token in [BOS] + list(tgt_prefix):
@@ -474,14 +446,13 @@ def forward(
 
 
 class DecodeState:
-    """Incremental decoder state: encoder memory plus the recurrent state."""
+    """Incremental decoder state: encoder memory plus the recurrent state
+    `s` of shape (1, H)."""
 
-    __slots__ = ("annotations", "u_cached", "src_mask", "s", "last_alpha")
+    __slots__ = ("encoder", "s", "last_alpha")
 
-    def __init__(self, annotations, u_cached, src_mask, s, last_alpha=None):
-        self.annotations = annotations
-        self.u_cached = u_cached
-        self.src_mask = src_mask
+    def __init__(self, encoder, s, last_alpha=None):
+        self.encoder = encoder
         self.s = s
         self.last_alpha = last_alpha
 
@@ -489,31 +460,17 @@ class DecodeState:
     def start(cls, model: Seq2SeqModel, src: list[int]) -> "DecodeState":
         if not src:
             raise InputError("empty source sequence")
-        p = model.params
-        src_ids, src_mask = pad_batch([list(src)])
-        enc = _Encoder(model, src_ids, src_mask)
-        s0 = np.tanh(enc.mean @ p["init_W"].T + p["init_b"])
-        return cls(enc.annotations, enc.annotations @ p["att_U"].T, src_mask, s0)
+        enc = _Encoder(model, *pad_batch([list(src)]))
+        return cls(enc, enc.s0)
 
     def step(
         self, model: Seq2SeqModel, prev_token: int, debug: bool = False
     ) -> tuple[np.ndarray, "DecodeState"]:
         """Consume the previously emitted token, return next-token log-probs."""
-        p = model.params
-        att = _AttentionStep(p, self.s, self.annotations, self.u_cached, self.src_mask)
-        e_prev = p["tgt_emb"][np.array([prev_token])]
-        x = np.concatenate([e_prev, att.ctx], axis=1)
-        step = _GruStep(p, "dec", x, self.s, np.ones(1))
-        feat = np.concatenate([step.h, att.ctx, e_prev], axis=1)
-        logits = feat @ p["out_W"].T + p["out_b"]
-        logp = _log_softmax(logits)[0]
-        if debug:
-            assert np.allclose(np.exp(logp).sum(), 1.0, atol=1e-6)
-            assert np.allclose(att.alpha.sum(), 1.0, atol=1e-6)
-        new = DecodeState(
-            self.annotations, self.u_cached, self.src_mask, step.h, att.alpha[0]
+        step = _DecoderStep(
+            model.params, self.encoder, self.s, np.array([prev_token]), np.ones(1), debug
         )
-        return logp, new
+        return step.logp[0], DecodeState(self.encoder, step.gru.h, step.att.alpha[0])
 
 
 @dataclass(frozen=True)

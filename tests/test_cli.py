@@ -766,6 +766,80 @@ def _one_field_mix_line(tmp_path):
     return ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")], spec
 
 
+def _missing_mix_corpus(tmp_path):
+    spec = tmp_path / "mix.txt"
+    missing = tmp_path / "missing"
+    write(spec, [f"{missing} 2"])
+    return ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")], missing
+
+
+def _missing_select_pool(tmp_path):
+    write_triplets(tmp_path / "ref", [Triplet(src=("s",), mt=("a",), pe=("a",))])
+    missing = tmp_path / "missing"
+    args = [
+        "select", "ter",
+        "--pool", str(missing),
+        "--reference", str(tmp_path / "ref"),
+        "--n", "1",
+        "--out", str(tmp_path / "picked"),
+        "--report", str(tmp_path / "stats.txt"),
+    ]
+    return args, missing
+
+
+def _lm_xent_args(tmp_path, arpa_lines):
+    model = tmp_path / "bad.arpa"
+    write(model, arpa_lines)
+    write(tmp_path / "in.txt", ["ein haus"])
+    return ["lm", "xent", "--model", str(model), "--in", str(tmp_path / "in.txt")], model
+
+
+def _arpa_without_sections(tmp_path):
+    return _lm_xent_args(tmp_path, ["\\data\\", "\\end\\"])
+
+
+def _arpa_non_numeric_logprob(tmp_path):
+    return _lm_xent_args(
+        tmp_path, ["\\data\\", "ngram 1=1", "", "\\1-grams:", "abc\thaus", "", "\\end\\"]
+    )
+
+
+def _bpe_model_without_header(tmp_path):
+    model = tmp_path / "bpe.model"
+    write(model, ["e i"])
+    write(tmp_path / "in.txt", ["ein haus"])
+    args = [
+        "bpe", "apply",
+        "--model", str(model),
+        "--in", str(tmp_path / "in.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]
+    return args, model
+
+
+def _report_args(tmp_path, short):
+    ref = tmp_path / "ref.txt"
+    write(ref, ["ein haus", "der hund"])
+    paths = {"system": tmp_path / "sys.txt", "mt": tmp_path / "mt.txt"}
+    for name, path in paths.items():
+        write(path, ["ein haus"] if name == short else ["ein haus", "der hund"])
+    args = [
+        "report",
+        "--ref", str(ref),
+        "--mt", str(paths["mt"]),
+        "--system", f"s={paths['system']}",
+    ]
+    return args, paths[short]
+
+
+def _short_report_system(tmp_path):
+    return _report_args(tmp_path, "system")
+
+
+def _short_report_mt(tmp_path):
+    return _report_args(tmp_path, "mt")
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -774,6 +848,13 @@ def _one_field_mix_line(tmp_path):
         _bad_scorer_input,
         _missing_model,
         _one_field_mix_line,
+        _missing_mix_corpus,
+        _missing_select_pool,
+        _arpa_without_sections,
+        _arpa_non_numeric_logprob,
+        _bpe_model_without_header,
+        _short_report_system,
+        _short_report_mt,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

@@ -15,8 +15,8 @@ from apeforge.metrics import (
     corpus_ter,
     edit_distance,
     ter,
-    triplet_stats,
 )
+from apeforge.triplet_select import STAT_COMPONENTS, stat_vector
 from helpers import exhaustive_shift_edits, lev_matrix, lev_recursive
 
 TOKENS = st.sampled_from(["a", "b", "c", "d"])
@@ -176,26 +176,30 @@ class TestTer:
 
 class TestTripletStats:
     @staticmethod
-    def _t(mt, pe):
-        return Triplet(src=("s",), mt=tuple(mt), pe=tuple(pe))
+    def _stats(mt, pe):
+        """stat_vector of a triplet, by component name, plus num_errors."""
+        t = Triplet(src=("s",), mt=tuple(mt), pe=tuple(pe))
+        s = dict(zip(STAT_COMPONENTS, stat_vector(t)))
+        s["num_errors"] = s["insertions"] + s["deletions"] + s["substitutions"] + s["shifts"]
+        return s
 
     def test_identical_sides(self):
-        s = triplet_stats(self._t("a b c d e".split(), "a b c d e".split()))
-        assert (s.num_words_pe, s.num_words_mt) == (5, 5)
-        assert (s.shifts, s.num_errors, s.ter) == (0, 0, 0.0)
+        s = self._stats("a b c d e".split(), "a b c d e".split())
+        assert (s["num_words_pe"], s["num_words_mt"]) == (5, 5)
+        assert (s["shifts"], s["num_errors"], s["ter"]) == (0, 0, 0.0)
 
     def test_single_substitution_pair(self):
-        s = triplet_stats(self._t("a x c d".split(), "a b c d".split()))
-        assert s.num_words_pe == 4
-        assert s.num_words_mt == 4
-        assert s.shifts == 0
-        assert s.num_errors == 1
-        assert s.ter == 25.0
+        s = self._stats("a x c d".split(), "a b c d".split())
+        assert s["num_words_pe"] == 4
+        assert s["num_words_mt"] == 4
+        assert s["shifts"] == 0
+        assert s["num_errors"] == 1
+        assert s["ter"] == 25.0
 
     def test_shift_pair(self):
-        s = triplet_stats(self._t("a b c d".split(), "a c b d".split()))
-        assert s.shifts == 1
-        assert s.ter == 25.0
+        s = self._stats("a b c d".split(), "a c b d".split())
+        assert s["shifts"] == 1
+        assert s["ter"] == 25.0
 
     def test_corpus_ter_pools_edits(self):
         pairs = [
