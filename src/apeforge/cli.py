@@ -137,7 +137,7 @@ def bpe():
 
 @bpe.command("learn")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--merges", required=True, type=int)
+@click.option("--merges", required=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def bpe_learn(in_path, merges, out_path):
     model = learn_bpe(read_sentences(in_path), merges)
@@ -286,10 +286,10 @@ def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):
 @select.command("ter")
 @click.option("--pool", "pool_prefix", required=True)
 @click.option("--reference", "ref_prefix", required=True)
-@click.option("--n", "n", required=True, type=int)
+@click.option("--n", "n", required=True, type=click.IntRange(min=1))
 @click.option("--no-normalize", is_flag=True)
-@click.option("--outlier-margin", default=0.10, show_default=True, type=float)
-@click.option("--traversal-cap", default=100, show_default=True, type=int)
+@click.option("--outlier-margin", "margin", default=0.10, show_default=True, type=float)
+@click.option("--traversal-cap", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
 @click.option("--report", "report_path", required=True, type=click.Path())
 def select_ter(
@@ -297,18 +297,21 @@ def select_ter(
     ref_prefix,
     n,
     no_normalize,
-    outlier_margin,
+    margin,
     traversal_cap,
     out_prefix,
     report_path,
 ):
     """Pick pool triplets whose edit statistics match the reference set."""
+    try:
+        cfg = SelectionConfig(
+            n=n, traversal_cap=traversal_cap, normalize=not no_normalize
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     pool = read_triplets(pool_prefix)
     reference = read_triplets(ref_prefix)
-    filtered = outlier_filter(pool, reference, margin=outlier_margin)
-    cfg = SelectionConfig(
-        n=n, traversal_cap=traversal_cap, normalize=not no_normalize
-    )
+    filtered = outlier_filter(pool, reference, margin=margin)
     selected = knn_select(filtered, reference, cfg)
     write_triplets(out_prefix, selected)
     stats = report_stats(selected)
@@ -391,8 +394,9 @@ def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--mt", "mt_path", required=True, type=click.Path(exists=True))
 @click.option("--src", "src_path", type=click.Path(exists=True), default=None)
-@click.option("--nbest", default=1, show_default=True, type=int)
-@click.option("--beam", type=int, default=None, help="Beam width; defaults to --nbest.")
+@click.option("--nbest", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--beam", type=click.IntRange(min=1), default=None,
+              help="Beam width; defaults to --nbest.")
 @click.option("--weights", "weights_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--best-out", "best_path", type=click.Path(), default=None,
@@ -445,10 +449,11 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 @cli.command("tune")
 @click.option("--dev", "dev_prefix", required=True)
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--iterations", default=2, show_default=True, type=int)
-@click.option("--beam", default=12, show_default=True, type=int)
-@click.option("--mira-c", default=0.01, show_default=True, type=float)
-@click.option("--inner-epochs", default=15, show_default=True, type=int)
+@click.option("--iterations", default=2, show_default=True, type=click.IntRange(min=1))
+@click.option("--beam", default=12, show_default=True, type=click.IntRange(min=1))
+@click.option("--mira-c", default=0.01, show_default=True,
+              type=click.FloatRange(min=0.0, min_open=True))
+@click.option("--inner-epochs", default=15, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, seed, out_path):
@@ -556,7 +561,7 @@ def synth_corrupt_cmd(
 @click.option("--mono", "mono_path", required=True, type=click.Path(exists=True))
 @click.option("--reverse", "reverse_path", required=True, type=click.Path(exists=True))
 @click.option("--forward", "forward_path", required=True, type=click.Path(exists=True))
-@click.option("--beam", default=1, show_default=True, type=int)
+@click.option("--beam", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
 def synth_roundtrip(mono_path, reverse_path, forward_path, beam, out_prefix):
     """Round-trip monolingual text through two models into triplets."""

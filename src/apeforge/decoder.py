@@ -138,15 +138,14 @@ def decode(
     bindings: Sequence[ScorerBinding],
     pep: PepFeature | None = None,
     beam: int = 12,
-    length_norm: bool = True,
     sentence_id: int = 0,
 ) -> NBestList:
     """Beam search; returns up to `beam` ranked hypotheses.
 
-    Pruning uses raw combined scores. When length_norm is set, the final
-    ranking, reported per-feature scores, and combined scores are divided by
-    the emitted token count (end symbol included), so the log-linear
-    recombination identity still holds on the reported numbers.
+    Pruning uses raw combined scores. The final ranking, reported per-feature
+    scores, and combined scores are divided by the emitted token count (end
+    symbol included), so the log-linear recombination identity still holds
+    on the reported numbers.
 
     Finished hypotheses accumulate in a completed pool; the search stops
     once the pool holds `beam` entries and the best live raw score cannot
@@ -230,8 +229,7 @@ def decode(
     pool = completed if completed else live
     entries = []
     for hyp in pool:
-        length = max(len(hyp.ids), 1)
-        scale = 1.0 / length if length_norm else 1.0
+        scale = 1.0 / max(len(hyp.ids), 1)
         final = hyp.combined * scale
         tokens = vocab.words(t for t in hyp.ids if t != EOS)
         feats = tuple(

@@ -15,6 +15,8 @@ from typing import Sequence
 
 # tercom convention: shifted blocks are capped at this many words.
 MAX_BLOCK = 10
+# BLEU-4: n-gram precisions of orders 1..BLEU_ORDER.
+BLEU_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -148,26 +150,21 @@ def _hyp_misalignment(ops: Sequence[str]) -> list[bool]:
     return flags
 
 
-def _ref_spans(ref: Sequence[str], max_block: int) -> set[tuple[str, ...]]:
+def _ref_spans(ref: Sequence[str]) -> set[tuple[str, ...]]:
     spans = set()
     m = len(ref)
     for i in range(m):
-        for j in range(i + 1, min(i + max_block, m) + 1):
+        for j in range(i + 1, min(i + MAX_BLOCK, m) + 1):
             spans.add(tuple(ref[i:j]))
     return spans
 
 
-def ter(
-    hyp: Sequence[str],
-    ref: Sequence[str],
-    max_block: int = MAX_BLOCK,
-    use_shifts: bool = True,
-) -> TerAlignment:
+def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
     """Greedy-shift TER of a hypothesis against one reference.
 
     Each round scans every movable block (contiguous hypothesis span that
     exactly matches some reference span and contains at least one currently
-    misaligned token, length <= max_block) over every target position, applies
+    misaligned token, length <= MAX_BLOCK) over every target position, applies
     the shift with the largest edit-distance reduction, and charges one edit
     for it. Ties break on (block start, block length, target position). The
     loop stops when no shift strictly reduces the residual edit distance.
@@ -196,8 +193,8 @@ def ter(
     shifts = 0
     trace: list[tuple[int, int, int]] = []
 
-    if use_shifts and cost:
-        spans = _ref_spans(ref, max_block)
+    if cost:
+        spans = _ref_spans(ref)
         while True:
             mis = _hyp_misalignment(ops)
             n = len(cur)
@@ -207,7 +204,7 @@ def ter(
                 if done:
                     break
                 any_mis = False
-                limit = min(max_block, n - start)
+                limit = min(MAX_BLOCK, n - start)
                 for length in range(1, limit + 1):
                     block = tuple(cur[start : start + length])
                     if block not in spans:
@@ -269,12 +266,8 @@ def _ngrams(sent: Sequence[str], n: int) -> Counter:
     return Counter(tuple(sent[i : i + n]) for i in range(len(sent) - n + 1))
 
 
-def bleu(
-    hyps: Sequence[Sequence[str]],
-    refs: Sequence[Sequence[str]],
-    max_order: int = 4,
-) -> float:
-    """Corpus BLEU with clipped n-gram precisions and brevity penalty.
+def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> float:
+    """Corpus BLEU-4 with clipped n-gram precisions and brevity penalty.
 
     No smoothing: a zero precision at any order gives a score of 0. Orders
     for which the whole corpus admits no n-grams at all (every hypothesis
@@ -285,14 +278,14 @@ def bleu(
         raise ValueError("empty hypothesis set")
     if len(hyps) != len(refs):
         raise ValueError(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * BLEU_ORDER
+    totals = [0] * BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hyp_grams = _ngrams(hyp, n)
             ref_grams = _ngrams(ref, n)
             totals[n - 1] += max(len(hyp) - n + 1, 0)

@@ -204,25 +204,15 @@ def corpus_cross_entropy(lm: NgramLm, corpus: Iterable[Sentence]) -> float:
     return bits / events
 
 
-def perplexity(lm: NgramLm, corpus: Iterable[Sentence]) -> float:
-    return 2.0 ** corpus_cross_entropy(lm, corpus)
-
-
 def xent_scores(
     in_lm: NgramLm,
     out_lm: NgramLm,
     corpus: Sequence[Sentence],
-    difference: bool = True,
 ) -> list[SelectionScore]:
-    """Moore-Lewis scores: in-domain xent minus out-of-domain xent.
-
-    With difference=False the raw in-domain cross-entropy is used instead.
-    """
+    """Moore-Lewis scores: in-domain xent minus out-of-domain xent."""
     scores = []
     for i, s in enumerate(corpus):
-        score = cross_entropy(in_lm, s)
-        if difference:
-            score -= cross_entropy(out_lm, s)
+        score = cross_entropy(in_lm, s) - cross_entropy(out_lm, s)
         scores.append(SelectionScore(line_index=i, score=score))
     return scores
 
@@ -232,7 +222,6 @@ def select_by_xent(
     out_lm: NgramLm,
     corpus: Sequence[Sentence],
     keep: int | float,
-    difference: bool = True,
 ) -> list[int]:
     """Indices of the `keep` lowest-scoring lines, score-ascending.
 
@@ -246,7 +235,7 @@ def select_by_xent(
         k = int(keep)
     if not 0 <= k <= n:
         raise LmError(f"keep={keep} out of range for corpus of {n} lines")
-    scores = xent_scores(in_lm, out_lm, corpus, difference=difference)
+    scores = xent_scores(in_lm, out_lm, corpus)
     ranked = sorted(scores, key=lambda sc: sc.score)
     return [sc.line_index for sc in ranked[:k]]
 

@@ -60,7 +60,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        start = self.pos
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{self.path}: string at byte {start} is not valid UTF-8"
+            ) from exc
 
 
 def _read_vocab(r: _Reader) -> Vocab:

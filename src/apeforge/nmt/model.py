@@ -49,6 +49,10 @@ def _softmax(x):
 
 _GRU_GATES = ("z", "r", "h")
 
+# gradient_check: finite-difference step and coordinates probed per tensor.
+GRAD_CHECK_EPSILON = 1e-4
+GRAD_CHECK_COORDS = 6
+
 
 def param_shapes(
     src_vocab_size: int, tgt_vocab_size: int, embedding_dim: int, hidden_dim: int
@@ -90,15 +94,6 @@ class Seq2SeqModel:
 
     def param_names(self) -> list[str]:
         return sorted(self.params)
-
-    def clone(self) -> "Seq2SeqModel":
-        return Seq2SeqModel(
-            src_vocab=self.src_vocab,
-            tgt_vocab=self.tgt_vocab,
-            embedding_dim=self.embedding_dim,
-            hidden_dim=self.hidden_dim,
-            params={k: v.copy() for k, v in self.params.items()},
-        )
 
 
 def init_model(
@@ -501,14 +496,13 @@ def gradient_check(
     src: list[int],
     tgt: list[int],
     tolerance: float = 1e-3,
-    epsilon: float = 1e-4,
-    coords_per_tensor: int = 6,
     seed: int = 0,
 ) -> GradCheckReport:
     """Central finite differences against the analytic gradient.
 
-    Every parameter tensor is probed at a seeded sample of coordinates plus
-    the coordinate with the largest analytic gradient magnitude.
+    Every parameter tensor is probed at up to GRAD_CHECK_COORDS coordinates:
+    a seeded sample plus the coordinate with the largest analytic gradient
+    magnitude.
     """
     rng = np.random.default_rng(seed)
     loss, grads = loss_and_grads(model, [src], [tgt])
@@ -518,19 +512,19 @@ def gradient_check(
         g = grads[name]
         flat_candidates = set()
         flat_candidates.add(int(np.argmax(np.abs(g))))
-        n_extra = min(coords_per_tensor - 1, arr.size)
+        n_extra = min(GRAD_CHECK_COORDS - 1, arr.size)
         flat_candidates.update(
             int(i) for i in rng.choice(arr.size, size=n_extra, replace=False)
         )
         for flat in sorted(flat_candidates):
             coord = np.unravel_index(flat, arr.shape)
             orig = arr[coord]
-            arr[coord] = orig + epsilon
+            arr[coord] = orig + GRAD_CHECK_EPSILON
             up = batch_loss(model, [src], [tgt])
-            arr[coord] = orig - epsilon
+            arr[coord] = orig - GRAD_CHECK_EPSILON
             down = batch_loss(model, [src], [tgt])
             arr[coord] = orig
-            numeric = (up - down) / (2.0 * epsilon)
+            numeric = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
             analytic = float(g[coord])
             denom = max(abs(analytic), abs(numeric), 1e-8)
             entries.append(

@@ -34,7 +34,8 @@ class PipelineError(Exception):
 
 
 class PipelineConfigError(Exception):
-    """Invalid stage graph: cycles, duplicate names or outputs, bad deps."""
+    """Invalid stage graph (cycles, duplicate names or outputs, bad deps) or
+    a workspace manifest that is not a JSON object of stage records."""
 
 
 def cipher_token(token: str) -> str:
@@ -70,10 +71,6 @@ class NoiseSpec:
             raise ValueError("substitution noise requires a confusion table")
         if self.insertion > 0 and not self.fillers:
             raise ValueError("insertion noise requires filler tokens")
-
-    @property
-    def total_rate(self) -> float:
-        return self.substitution + self.deletion + self.insertion + self.swap
 
 
 def read_confusion(path: str | Path) -> dict[str, tuple[str, ...]]:
@@ -363,8 +360,16 @@ def run(workspace: str | Path, stages: Sequence[Stage]) -> RunReport:
     manifest_path = workspace / MANIFEST_NAME
     manifest = {"stages": {}}
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        manifest.setdefault("stages", {})
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as exc:
+            raise PipelineConfigError(f"{manifest_path}: not valid JSON: {exc}") from exc
+        if not isinstance(manifest, dict) or not isinstance(
+            manifest.setdefault("stages", {}), dict
+        ):
+            raise PipelineConfigError(
+                f"{manifest_path}: expected an object with a 'stages' object"
+            )
     report = RunReport(manifest=manifest)
 
     for stage in ordered:

@@ -41,8 +41,6 @@ class MalformedSegmentationError(SubwordError):
 class BpeModel:
     merges: tuple[tuple[str, str], ...]
     base_symbols: frozenset[str]
-    end_marker: str = END_MARKER
-    target_merge_count: int = 0
 
     def vocabulary(self) -> set[str]:
         """All symbols the model can produce: base inventory plus one per merge."""
@@ -56,14 +54,6 @@ class BpeModel:
         """The model's applier, built once so its token cache is shared by
         every apply_bpe call on this model."""
         return BpeApplier(self)
-
-    def truncated(self, merge_count: int) -> "BpeModel":
-        return BpeModel(
-            merges=self.merges[:merge_count],
-            base_symbols=self.base_symbols,
-            end_marker=self.end_marker,
-            target_merge_count=merge_count,
-        )
 
 
 def _word_symbols(token: str) -> tuple[str, ...]:
@@ -142,11 +132,7 @@ def learn_bpe(corpus: Iterable[Sentence], merge_count: int) -> BpeModel:
                 where[(a, b)].add(idx)
             words[idx] = new
 
-    return BpeModel(
-        merges=tuple(merges),
-        base_symbols=base,
-        target_merge_count=merge_count,
-    )
+    return BpeModel(merges=tuple(merges), base_symbols=base)
 
 
 class BpeApplier:
@@ -266,9 +252,7 @@ def load_model(path: str | Path) -> BpeModel:
         base = frozenset(
             ch for pair in merges for side in pair for ch in _decompose(side)
         ) | {END_MARKER}
-    return BpeModel(
-        merges=tuple(merges), base_symbols=base, target_merge_count=len(merges)
-    )
+    return BpeModel(merges=tuple(merges), base_symbols=base)
 
 
 def _decompose(symbol: str) -> list[str]:

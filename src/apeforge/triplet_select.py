@@ -33,7 +33,6 @@ STAT_COMPONENTS = (
 class SelectionConfig:
     n: int = 1
     traversal_cap: int = 100
-    outlier_margin: float = 0.10
     normalize: bool = True
 
     def __post_init__(self):
@@ -90,9 +89,7 @@ def zscore_params(ref_stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def outlier_filter(
-    pool, reference, margin: float = 0.10, pool_stats: np.ndarray | None = None
-):
+def outlier_filter(pool, reference, margin: float = 0.10):
     """Drop pool triplets outside the reference component ranges.
 
     Bounds are min*(1-margin) and max*(1+margin) per component; components
@@ -103,12 +100,11 @@ def outlier_filter(
     if math.isinf(margin):
         return list(pool)
     pool = list(pool)
-    if pool_stats is None:
-        pool_stats = stat_matrix(pool)
+    pool_mat = stat_matrix(pool)
     ref_stats = stat_matrix(reference)
     lower = ref_stats.min(axis=0) * (1.0 - margin)
     upper = ref_stats.max(axis=0) * (1.0 + margin)
-    ok = ((pool_stats >= lower) & (pool_stats <= upper)).all(axis=1)
+    ok = ((pool_mat >= lower) & (pool_mat <= upper)).all(axis=1)
     return [t for t, keep in zip(pool, ok) if keep]
 
 
@@ -126,18 +122,18 @@ def knn_select_indices(
     reference = list(reference)
     if not pool or not reference:
         raise ValueError("pool and reference must be non-empty")
-    pool_stats = stat_matrix(pool)
+    pool_mat = stat_matrix(pool)
     ref_stats = stat_matrix(reference)
     if cfg.normalize:
         mu, sd = zscore_params(ref_stats)
-        pool_stats = (pool_stats - mu) / sd
+        pool_mat = (pool_mat - mu) / sd
         ref_stats = (ref_stats - mu) / sd
 
     cap = min(cfg.traversal_cap, len(pool))
     taken: set[int] = set()
     selected: list[int] = []
     for ref_vec in ref_stats:
-        dists = np.sqrt(((pool_stats - ref_vec) ** 2).sum(axis=1))
+        dists = np.sqrt(((pool_mat - ref_vec) ** 2).sum(axis=1))
         if cap < len(pool):
             nearest = np.argpartition(dists, cap - 1)[:cap]
         else:

@@ -866,3 +866,57 @@ def test_input_error_is_one_error_line(runner, tmp_path, make_case):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error:")
     assert str(named) in result.output
+
+
+def _bounded_option_commands(tmp_path, model_path, text):
+    """Valid arguments, bounded numeric options left out, per command."""
+    cfg = tmp_path / "decoder.cfg"
+    write(cfg, [f"scorer mt model={model_path} input=mt weight=1.0"])
+    sentences = [tuple(line.split()) for line in text.read_text().splitlines()]
+    write_triplets(tmp_path / "dev", [Triplet(src=s, mt=s, pe=s) for s in sentences])
+    dev = str(tmp_path / "dev")
+    return {
+        "decode": [
+            "decode", "--config", str(cfg), "--mt", str(text),
+            "--out", str(tmp_path / "nbest.txt"),
+        ],
+        "tune": ["tune", "--dev", dev, "--config", str(cfg), "--out", str(tmp_path / "w.txt")],
+        "bpe learn": ["bpe", "learn", "--in", str(text), "--out", str(tmp_path / "bpe.model")],
+        "select ter": [
+            "select", "ter", "--pool", dev, "--reference", dev,
+            "--out", str(tmp_path / "picked"), "--report", str(tmp_path / "stats.txt"),
+        ],
+        "synth roundtrip": [
+            "synth", "roundtrip", "--mono", str(text), "--reverse", str(model_path),
+            "--forward", str(model_path), "--out", str(tmp_path / "rt"),
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("decode", ["--nbest", "0"], "'--nbest'"),
+        ("decode", ["--beam", "0"], "'--beam'"),
+        ("tune", ["--iterations", "0"], "'--iterations'"),
+        ("tune", ["--beam", "0"], "'--beam'"),
+        ("tune", ["--inner-epochs", "0"], "'--inner-epochs'"),
+        ("tune", ["--mira-c", "0"], "'--mira-c'"),
+        ("bpe learn", ["--merges", "-3"], "'--merges'"),
+        ("select ter", ["--n", "0"], "'--n'"),
+        ("select ter", ["--n", "1", "--traversal-cap", "0"], "'--traversal-cap'"),
+        ("select ter", ["--n", "2", "--traversal-cap", "1"], "traversal_cap must be >= n"),
+        ("synth roundtrip", ["--beam", "0"], "'--beam'"),
+    ],
+)
+def test_out_of_range_option_is_usage_error(
+    runner, tmp_path, copy_checkpoint, command, options, message
+):
+    """An out-of-range numeric option is a usage error (status 2) naming
+    the option, not a traceback."""
+    model_path, text, _ = copy_checkpoint
+    args = _bounded_option_commands(tmp_path, model_path, text)[command] + options
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and message in result.output

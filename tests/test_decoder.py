@@ -156,34 +156,22 @@ class TestBeamSearch:
         vocab = stub_vocab()
         scorer = TableScorer(vocab, stub_row(vocab, eos=-100.0))
         binding = ScorerBinding("m", scorer, (vocab.id("u"),), 1.0)
-        nbest = decode([binding], beam=2, length_norm=True)
+        nbest = decode([binding], beam=2)
         assert nbest.truncated
         texts = [e.tokens for e in nbest.entries]
         assert texts == [("u", "u", "u"), ("v", "u", "u")]
         assert nbest.entries[0].combined == pytest.approx(-1.0)
         assert nbest.entries[1].combined == pytest.approx(-4.0 / 3.0)
 
-    def test_hand_traced_completion(self):
-        vocab = stub_vocab()
-        scorer = TableScorer(vocab, stub_row(vocab, eos=-1.5, u=-1.0, v=-5.0))
-        binding = ScorerBinding("m", scorer, (vocab.id("u"),), 1.0)
-        nbest = decode([binding], beam=2, length_norm=False)
-        assert not nbest.truncated
-        # best finished: "u" then eos at -2.5 beats eos-only at -1.5? no:
-        # raw scores, eos-only = -1.5 is highest
-        assert nbest.entries[0].tokens == ()
-        assert nbest.entries[0].combined == pytest.approx(-1.5)
-
     def test_length_norm_changes_ranking(self):
-        # raw: eos-only (-1.5) beats every extension; per-token averaging
-        # rewards appending "u" (-1.0 < running mean), so the longest
-        # completed hypothesis within the cap wins
+        # on raw scores eos-only (-1.5) would beat every extension; per-token
+        # averaging rewards appending "u" (-1.0 < running mean), so the
+        # longest completed hypothesis within the cap wins
         vocab = stub_vocab()
         scorer = TableScorer(vocab, stub_row(vocab, eos=-1.5, u=-1.0, v=-5.0))
         binding = ScorerBinding("m", scorer, (vocab.id("u"),), 1.0)
-        raw = decode([binding], beam=2, length_norm=False)
-        normed = decode([binding], beam=2, length_norm=True)
-        assert raw.entries[0].tokens == ()
+        normed = decode([binding], beam=2)
+        assert not normed.truncated
         assert normed.entries[0].tokens == ("u", "u")
         assert normed.entries[0].combined == pytest.approx(-3.5 / 3.0)
         assert normed.entries[1].tokens == ("u",)
@@ -192,16 +180,13 @@ class TestBeamSearch:
     def test_ensemble_degeneracy_halved_weights(self):
         vocab = stub_vocab()
         scorer = TableScorer(vocab, stub_row(vocab))
-        one = decode(
-            [ScorerBinding("m", scorer, (4,), 1.0)], beam=3, length_norm=True
-        )
+        one = decode([ScorerBinding("m", scorer, (4,), 1.0)], beam=3)
         two = decode(
             [
                 ScorerBinding("m1", scorer, (4,), 0.5),
                 ScorerBinding("m2", scorer, (4,), 0.5),
             ],
             beam=3,
-            length_norm=True,
         )
         assert [e.tokens for e in one.entries] == [e.tokens for e in two.entries]
         for a, b in zip(one.entries, two.entries):
@@ -254,12 +239,11 @@ class TestBeamSearch:
             ScorerBinding("q", s2, (4, 5), 0.4),
         ]
         pep = PepFeature.from_units(("u",), vocab, weight=0.3)
-        for length_norm in (False, True):
-            nbest = decode(bindings, pep=pep, beam=4, length_norm=length_norm)
-            weights = {"p": 0.7, "q": 0.4, "pep": 0.3}
-            for entry in nbest.entries:
-                recombined = sum(weights[n] * v for n, v in entry.features)
-                assert recombined == pytest.approx(entry.combined, abs=1e-4)
+        nbest = decode(bindings, pep=pep, beam=4)
+        weights = {"p": 0.7, "q": 0.4, "pep": 0.3}
+        for entry in nbest.entries:
+            recombined = sum(weights[n] * v for n, v in entry.features)
+            assert recombined == pytest.approx(entry.combined, abs=1e-4)
 
     def test_entries_sorted_descending(self):
         vocab = stub_vocab()
@@ -290,11 +274,7 @@ class TestAgainstReferenceBeam:
         scorer = NmtScorer(result.model)
         for src, _ in pairs[:6]:
             expected = beam_search_single(result.model, src, beam=4)
-            nbest = decode(
-                [ScorerBinding("nmt", scorer, tuple(src), 1.0)],
-                beam=4,
-                length_norm=True,
-            )
+            nbest = decode([ScorerBinding("nmt", scorer, tuple(src), 1.0)], beam=4)
             got = [(e.tokens, e.combined) for e in nbest.entries]
             assert [t for t, _ in got] == [t for t, _ in expected]
             for (_, a), (_, b) in zip(got, expected):

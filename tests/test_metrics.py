@@ -105,12 +105,6 @@ class TestTer:
         a = ter([], [])
         assert a.ter == 0.0 and not a.degenerate
 
-    def test_shift_disabled_falls_back_to_plain_edits(self):
-        hyp, ref = "a b c d".split(), "a c b d".split()
-        a = ter(hyp, ref, use_shifts=False)
-        assert a.shifts == 0
-        assert a.num_edits == edit_distance(hyp, ref).cost
-
     @given(NONEMPTY, NONEMPTY)
     def test_bounds(self, hyp, ref):
         a = ter(hyp, ref)
@@ -122,7 +116,7 @@ class TestTer:
 
     @given(NONEMPTY, NONEMPTY)
     def test_shifts_never_hurt(self, hyp, ref):
-        assert ter(hyp, ref).num_edits <= ter(hyp, ref, use_shifts=False).num_edits
+        assert ter(hyp, ref).num_edits <= edit_distance(hyp, ref).cost
 
     @given(NONEMPTY, NONEMPTY)
     @settings(max_examples=60, deadline=None)
@@ -169,7 +163,7 @@ class TestTer:
     def test_block_longer_than_limit_not_shifted(self):
         ref = [f"t{i}" for i in range(24)]
         hyp = ref[12:] + ref[:12]
-        a = ter(hyp, ref, max_block=10)
+        a = ter(hyp, ref)
         for _start, length, _dest in a.shift_trace:
             assert length <= 10
 

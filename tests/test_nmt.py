@@ -49,7 +49,7 @@ class TestGradientCheck:
         model, sv, tv = tiny_model()
         src = [sv.id(t) for t in ("a", "b", "c", "a")]
         tgt = [tv.id(t) for t in ("x", "z", "y")]
-        report = gradient_check(model, src, tgt, coords_per_tensor=4, seed=1)
+        report = gradient_check(model, src, tgt, seed=1)
         assert report.passed
         checked = {e.tensor for e in report.entries}
         assert checked == set(model.params)
@@ -377,6 +377,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load(path)
 
+    def test_vocab_token_not_utf8(self, tmp_path):
+        model, _, _ = tiny_model()
+        path = tmp_path / "m.bin"
+        save(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b"<pad>")] ^= 0x80  # a lone continuation byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="m.bin: .* not valid UTF-8"):
+            load(path)
+
     def test_unsupported_version(self, tmp_path):
         model, _, _ = tiny_model()
         path = tmp_path / "m.bin"
@@ -427,7 +437,7 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save(model, path)
         before = path.read_bytes()
-        broken = model.clone()
+        broken, _, _ = tiny_model(seed=31)
         broken.params["out_b"] = "not a tensor"  # fails after earlier tensors are written
         with pytest.raises(ValueError):
             save(broken, path)

@@ -47,7 +47,7 @@ class TestCipher:
 class TestNoiseSpec:
     def test_defaults_are_silent(self):
         spec = NoiseSpec()
-        assert spec.total_rate == 0.0
+        assert (spec.substitution, spec.deletion, spec.insertion, spec.swap) == (0.0,) * 4
 
     @pytest.mark.parametrize("field", ["substitution", "deletion", "insertion", "swap"])
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
@@ -69,17 +69,6 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(insertion=0.1)
         NoiseSpec(insertion=0.1, fillers=("um",))
-
-    def test_total_rate_sums_fields(self):
-        spec = NoiseSpec(
-            substitution=0.1,
-            deletion=0.2,
-            insertion=0.3,
-            swap=0.15,
-            confusion={"a": ("b",)},
-            fillers=("x",),
-        )
-        assert spec.total_rate == pytest.approx(0.75)
 
 
 class TestCorrupt:
@@ -350,6 +339,14 @@ class TestStageExecution:
         assert report.executed == [] and report.skipped == []
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         assert manifest == {"stages": {}}
+
+    @pytest.mark.parametrize("text", ["[1", "[]", '{"stages": []}'])
+    def test_malformed_manifest_rejected_before_any_stage(self, tmp_path, text):
+        (tmp_path / MANIFEST_NAME).write_text(text)
+        stage = _write_stage("w", "made.txt", "content")
+        with pytest.raises(PipelineConfigError, match=MANIFEST_NAME):
+            run(tmp_path, [stage])
+        assert not (tmp_path / "made.txt").exists()
 
     def test_missing_input_names_stage_and_file(self, tmp_path):
         stage = _concat_stage("needs", "gone.txt", "out.txt")

@@ -72,7 +72,6 @@ class TestLearn:
         corpus = [("abab", "abab", "baba")] * 4
         model = learn_bpe(corpus, merge_count=3)
         assert len(model.merges) <= 3
-        assert model.target_merge_count == 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +90,6 @@ class TestLearn:
         big = learn_bpe(corpus, merge_count=k)
         small = learn_bpe(corpus, merge_count=j)
         assert big.merges[:j] == small.merges
-        assert big.truncated(j).merges == small.merges
 
     @given(CORPUS, st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -181,13 +179,14 @@ class TestRevert:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        model = learn_bpe([("abab", "cdcd")] * 3, merge_count=4)
-        path = tmp_path / "bpe.model"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.merges == model.merges
-        assert loaded.base_symbols == model.base_symbols
-        assert loaded.end_marker == model.end_marker
+        full = learn_bpe([("abab", "cdcd")] * 3, merge_count=4)
+        # learning stops at 5 merges: no pair then occurs twice
+        early = learn_bpe([("abc", "abd")] * 2, merge_count=50)
+        assert len(early.merges) == 5
+        for model in (full, early):
+            path = tmp_path / "bpe.model"
+            save_model(model, path)
+            assert load_model(path) == model
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.model"
