@@ -288,7 +288,10 @@ def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):
 @click.option("--reference", "ref_prefix", required=True)
 @click.option("--n", "n", required=True, type=click.IntRange(min=1))
 @click.option("--no-normalize", is_flag=True)
-@click.option("--outlier-margin", "margin", default=0.10, show_default=True, type=float)
+@click.option(
+    "--outlier-margin", "margin", default=0.10, show_default=True,
+    type=click.FloatRange(min=0),
+)
 @click.option("--traversal-cap", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
 @click.option("--report", "report_path", required=True, type=click.Path())
@@ -311,7 +314,15 @@ def select_ter(
         raise click.UsageError(str(exc))
     pool = read_triplets(pool_prefix)
     reference = read_triplets(ref_prefix)
+    for prefix, triplets in ((pool_prefix, pool), (ref_prefix, reference)):
+        if not triplets:
+            raise click.ClickException(f"{prefix}: no triplets")
     filtered = outlier_filter(pool, reference, margin=margin)
+    if not filtered:
+        raise click.ClickException(
+            f"{pool_prefix}: all {len(pool)} pool triplets fall outside the "
+            f"reference ranges at --outlier-margin {margin}"
+        )
     selected = knn_select(filtered, reference, cfg)
     write_triplets(out_prefix, selected)
     stats = report_stats(selected)
@@ -360,8 +371,8 @@ def nmt_train(src_path, tgt_path, config_path, out_dir):
 
 
 @nmt.command("grad-check")
-@click.option("--embedding-dim", default=8, show_default=True, type=int)
-@click.option("--hidden-dim", default=6, show_default=True, type=int)
+@click.option("--embedding-dim", default=8, show_default=True, type=click.IntRange(min=1))
+@click.option("--hidden-dim", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--tolerance", default=1e-3, show_default=True, type=float)
 def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):

@@ -33,11 +33,19 @@ class NBestParseError(Exception):
 
 
 class Scorer(Protocol):
+    """Step scoring by rows: a state holds one row per live hypothesis.
+
+    `start` returns a one-row state. `step` takes `moves`, an int array of
+    shape (B, 2) whose row i is (row of `state` it continues, token that
+    row just emitted); it returns (B, V) next-token log-probs and the B-row
+    state. The first round passes [[0, BOS]].
+    """
+
     tgt_vocab: Vocab
 
     def start(self, input_ids: Sequence[int]): ...
 
-    def step(self, state, token: int) -> tuple[np.ndarray, object]: ...
+    def step(self, state, moves: np.ndarray) -> tuple[np.ndarray, object]: ...
 
 
 class NmtScorer:
@@ -50,8 +58,8 @@ class NmtScorer:
     def start(self, input_ids: Sequence[int]) -> DecodeState:
         return DecodeState.start(self.model, list(input_ids))
 
-    def step(self, state: DecodeState, token: int):
-        return state.step(self.model, token)
+    def step(self, state: DecodeState, moves: np.ndarray):
+        return state.step(self.model, moves[:, 0], moves[:, 1])
 
 
 @dataclass(frozen=True)
@@ -125,15 +133,6 @@ def assemble(bindings: Sequence[ScorerBinding]) -> Vocab:
     return vocab
 
 
-@dataclass
-class _Hyp:
-    ids: tuple[int, ...]
-    last: int
-    feats: np.ndarray
-    combined: float
-    states: list
-
-
 def decode(
     bindings: Sequence[ScorerBinding],
     pep: PepFeature | None = None,
@@ -142,10 +141,12 @@ def decode(
 ) -> NBestList:
     """Beam search; returns up to `beam` ranked hypotheses.
 
-    Pruning uses raw combined scores. The final ranking, reported per-feature
-    scores, and combined scores are divided by the emitted token count (end
-    symbol included), so the log-linear recombination identity still holds
-    on the reported numbers.
+    Each round scores every (live hypothesis, token) pair in one (B, V)
+    matrix and keeps the `beam` best, ties broken by lower token id, then
+    by lower parent row. Pruning uses raw combined scores. The final
+    ranking, reported per-feature scores, and combined scores are divided
+    by the emitted token count (end symbol included), so the log-linear
+    recombination identity still holds on the reported numbers.
 
     Finished hypotheses accumulate in a completed pool; the search stops
     once the pool holds `beam` entries and the best live raw score cannot
@@ -163,85 +164,85 @@ def decode(
     )
     pep_vec = pep.vector(len(vocab)) if pep is not None else None
 
-    start = _Hyp(
-        ids=(),
-        last=BOS,
-        feats=np.zeros(len(names)),
-        combined=0.0,
-        states=[b.scorer.start(b.input_ids) for b in bindings],
-    )
-    live = [start]
-    completed: list[_Hyp] = []
+    # live hypotheses, one row each: emitted ids, feature totals, raw score
+    ids: list[tuple[int, ...]] = [()]
+    feats = np.zeros((1, len(names)))
+    combined = np.zeros(1)
+    moves = np.array([[0, BOS]])
+    states = [b.scorer.start(b.input_ids) for b in bindings]
+    completed: list[tuple[tuple[int, ...], np.ndarray, float]] = []
     cap = 3 * max(len(b.input_ids) for b in bindings)
 
     for _ in range(cap):
-        increments = []  # per live hyp: (per-scorer logps, new states)
-        for hyp in live:
-            logps = []
-            states = []
-            for binding, state in zip(bindings, hyp.states):
-                lp, new_state = binding.scorer.step(state, hyp.last)
-                logps.append(lp)
-                states.append(new_state)
-            increments.append((logps, states))
+        logps = []
+        for i, binding in enumerate(bindings):
+            lp, states[i] = binding.scorer.step(states[i], moves)
+            logps.append(lp)
 
-        candidates = []  # (raw score, token, parent index)
-        for parent, (hyp, (logps, _)) in enumerate(zip(live, increments)):
-            inc = np.zeros(len(vocab))
-            for w, lp in zip(weights[:n_scorers], logps):
-                inc += w * lp
-            if pep_vec is not None:
-                inc += pep.weight * pep_vec
-            scores = hyp.combined + inc
-            for token in range(len(vocab)):
-                candidates.append((float(scores[token]), token, parent))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        inc = np.zeros((len(ids), len(vocab)))
+        for w, lp in zip(weights[:n_scorers], logps):
+            inc += w * lp
+        if pep_vec is not None:
+            inc += pep.weight * pep_vec
+        scores = (combined[:, None] + inc).ravel()
 
-        next_live = []
-        for score, token, parent in candidates[:beam]:
-            hyp = live[parent]
-            logps, states = increments[parent]
-            feats = hyp.feats.copy()
-            for i, lp in enumerate(logps):
-                feats[i] += float(lp[token])
-            if pep_vec is not None:
-                feats[-1] += pep_vec[token]
-            child = _Hyp(
-                ids=hyp.ids + (token,),
-                last=token,
-                feats=feats,
-                combined=score,
-                states=states,
-            )
-            if token == EOS:
-                completed.append(child)
-            else:
-                next_live.append(child)
-        live = next_live
-        if not live:
+        # every entry tied with the beam-th best survives the cut
+        k = min(beam, scores.size)
+        kept = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+        parent, token = np.divmod(kept, len(vocab))
+        order = np.lexsort((parent, token, -scores[kept]))[:beam]
+        parent, token, combined = parent[order], token[order], scores[kept[order]]
+
+        feats = feats[parent]
+        for i, lp in enumerate(logps):
+            feats[:, i] += lp[parent, token]
+        if pep_vec is not None:
+            feats[:, -1] += pep_vec[token]
+        ids = [ids[p] + (t,) for p, t in zip(parent.tolist(), token.tolist())]
+
+        done = token == EOS
+        completed.extend(
+            (ids[i], feats[i], float(combined[i])) for i in np.flatnonzero(done)
+        )
+        live = ~done
+        ids = [h for h, d in zip(ids, done) if not d]
+        feats, combined = feats[live], combined[live]
+        moves = np.stack([parent[live], token[live]], axis=1)
+        if not ids:
             break
         if len(completed) >= beam:
-            worst = sorted(h.combined for h in completed)[-beam]
-            if max(h.combined for h in live) <= worst:
+            worst = sorted(c for _, _, c in completed)[-beam]
+            if combined.max() <= worst:
                 break
 
     truncated = not completed
-    pool = completed if completed else live
+    pool = completed if completed else list(zip(ids, feats, combined.tolist()))
     entries = []
-    for hyp in pool:
-        scale = 1.0 / max(len(hyp.ids), 1)
-        final = hyp.combined * scale
-        tokens = vocab.words(t for t in hyp.ids if t != EOS)
-        feats = tuple(
-            (name, float(val * scale)) for name, val in zip(names, hyp.feats)
+    for hyp_ids, hyp_feats, raw in pool:
+        scale = 1.0 / max(len(hyp_ids), 1)
+        final = raw * scale
+        tokens = vocab.words(t for t in hyp_ids if t != EOS)
+        named = tuple(
+            (name, float(val * scale)) for name, val in zip(names, hyp_feats)
         )
-        entries.append((final, tokens, NBestEntry(tokens, feats, float(final))))
+        entries.append((final, tokens, NBestEntry(tokens, named, float(final))))
     entries.sort(key=lambda e: (-e[0], e[1]))
     return NBestList(
         sentence_id=sentence_id,
         entries=tuple(e[2] for e in entries[:beam]),
         truncated=truncated,
     )
+
+
+def exact_accuracy(model: Seq2SeqModel, pairs) -> float:
+    """Fraction of (source ids, target ids) pairs whose beam-1 decode with
+    `model` alone reproduces the target exactly."""
+    scorer = NmtScorer(model)
+    hits = 0
+    for src, tgt in pairs:
+        best = decode([ScorerBinding("nmt", scorer, tuple(src), 1.0)], beam=1)
+        hits += best.entries[0].tokens == model.tgt_vocab.words(tgt)
+    return hits / len(pairs)
 
 
 def write_nbest(lists: Iterable[NBestList], path: str | Path) -> None:

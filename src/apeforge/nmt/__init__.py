@@ -18,8 +18,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     dev_loss,
-    exact_accuracy,
-    greedy_decode,
     read_train_config,
     train,
 )
@@ -37,10 +35,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "dev_loss",
-    "exact_accuracy",
     "forward",
     "gradient_check",
-    "greedy_decode",
     "init_model",
     "load",
     "read_train_config",

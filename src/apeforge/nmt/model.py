@@ -285,7 +285,8 @@ class _DecoderStep:
     """One target position for B rows: attention from the previous state,
     the `dec` GRU fed [previous target embedding; context], and the output
     log-distribution over [new state; context; previous embedding]. Training
-    runs it teacher-forced over a batch; decoding runs it on one row."""
+    runs it teacher-forced over a batch; decoding runs it on the rows of a
+    beam, all attending over one encoded sentence."""
 
     __slots__ = ("att", "gru", "feat", "logp")
 
@@ -436,13 +437,14 @@ def forward(
     state = DecodeState.start(model, src)
     logp = None
     for token in [BOS] + list(tgt_prefix):
-        logp, state = state.step(model, token, debug=debug)
-    return logp, state.last_alpha
+        logp, state = state.step(model, [0], [token], debug=debug)
+    return logp[0], state.last_alpha[0]
 
 
 class DecodeState:
-    """Incremental decoder state: encoder memory plus the recurrent state
-    `s` of shape (1, H)."""
+    """Incremental decoder state of B hypotheses over one source sentence:
+    the encoder memory, computed once, plus the recurrent state `s` of shape
+    (B, H) and the last attention weights `last_alpha` of shape (B, Ts)."""
 
     __slots__ = ("encoder", "s", "last_alpha")
 
@@ -453,19 +455,27 @@ class DecodeState:
 
     @classmethod
     def start(cls, model: Seq2SeqModel, src: list[int]) -> "DecodeState":
+        """The one-row state before any target token."""
         if not src:
             raise InputError("empty source sequence")
         enc = _Encoder(model, *pad_batch([list(src)]))
         return cls(enc, enc.s0)
 
     def step(
-        self, model: Seq2SeqModel, prev_token: int, debug: bool = False
+        self, model: Seq2SeqModel, parents, tokens, debug: bool = False
     ) -> tuple[np.ndarray, "DecodeState"]:
-        """Consume the previously emitted token, return next-token log-probs."""
+        """Row i continues row `parents[i]` of this state with the token it
+        just emitted, `tokens[i]`. Returns the (B, V) next-token log-probs
+        and the B-row state."""
         step = _DecoderStep(
-            model.params, self.encoder, self.s, np.array([prev_token]), np.ones(1), debug
+            model.params,
+            self.encoder,
+            self.s[np.asarray(parents)],
+            np.asarray(tokens),
+            np.ones(len(tokens)),
+            debug,
         )
-        return step.logp[0], DecodeState(self.encoder, step.gru.h, step.att.alpha[0])
+        return step.logp, DecodeState(self.encoder, step.gru.h, step.att.alpha)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,6 @@ import numpy as np
 from ..corpus import ParseError, config_lines
 from . import checkpoint as ckpt
 from .model import (
-    BOS,
-    EOS,
-    DecodeState,
     Seq2SeqModel,
     backward_batch,
     forward_batch,
@@ -248,26 +245,3 @@ def train(
     result.model = model
     return result
 
-
-def greedy_decode(
-    model: Seq2SeqModel, src: list[int], max_len: int | None = None
-) -> list[int]:
-    """Argmax decoding; returns emitted ids without the end symbol."""
-    if max_len is None:
-        max_len = 3 * max(len(src), 1)
-    state = DecodeState.start(model, list(src))
-    out: list[int] = []
-    prev = BOS
-    for _ in range(max_len):
-        logp, state = state.step(model, prev)
-        prev = int(np.argmax(logp))
-        if prev == EOS:
-            break
-        out.append(prev)
-    return out
-
-
-def exact_accuracy(model: Seq2SeqModel, pairs) -> float:
-    """Fraction of pairs whose greedy decode reproduces the target exactly."""
-    hits = sum(1 for s, t in pairs if greedy_decode(model, list(s)) == list(t))
-    return hits / len(pairs)

@@ -145,10 +145,10 @@ def beam_search_single(model, src, beam, length_norm=True):
         ranked = []
         stepped = []
         for parent, (ids, last, score, state) in enumerate(live):
-            logp, new_state = state.step(model, last)
+            logp, new_state = state.step(model, [0], [last])
             stepped.append(new_state)
             for token in range(len(vocab)):
-                ranked.append((score + float(logp[token]), token, parent))
+                ranked.append((score + float(logp[0, token]), token, parent))
         ranked.sort(key=lambda c: (-c[0], c[1], c[2]))
         live_next = []
         for score, token, parent in ranked[:beam]:
@@ -172,3 +172,91 @@ def beam_search_single(model, src, beam, length_norm=True):
         out.append((words, final))
     out.sort(key=lambda e: (-e[1], e[0]))
     return out[:beam]
+
+
+def decode_one_row(bindings, pep=None, beam=12, sentence_id=0):
+    """The ensemble beam search advanced one hypothesis at a time; the
+    reference for decoder.decode, which advances the whole beam per scorer
+    call and picks from a score matrix.
+
+    Each live hypothesis keeps its own one-row scorer states and steps them
+    with moves [[0, last token]]. Candidates are Python tuples sorted on
+    (-raw score, token id, parent index); the stop rule, the 3x-input cap,
+    the truncation flag and the length-normalised final ranking are those
+    decode documents.
+    """
+    import numpy as np
+
+    from apeforge.corpus import Vocab
+    from apeforge.decoder import PEP_NAME, NBestEntry, NBestList, assemble
+
+    vocab = assemble(bindings)
+    n_scorers = len(bindings)
+    names = [b.name for b in bindings] + ([PEP_NAME] if pep is not None else [])
+    weights = np.array(
+        [b.weight for b in bindings] + ([pep.weight] if pep is not None else [])
+    )
+    pep_vec = pep.vector(len(vocab)) if pep is not None else None
+
+    # (ids, last token, feature totals, raw score, per-scorer one-row states)
+    live = [((), Vocab.BOS, np.zeros(len(names)), 0.0,
+             [b.scorer.start(b.input_ids) for b in bindings])]
+    completed = []
+    cap = 3 * max(len(b.input_ids) for b in bindings)
+    for _ in range(cap):
+        increments = []
+        for _, last, _, _, states in live:
+            logps, new_states = [], []
+            for binding, state in zip(bindings, states):
+                lp, new_state = binding.scorer.step(state, np.array([[0, last]]))
+                logps.append(lp[0])
+                new_states.append(new_state)
+            increments.append((logps, new_states))
+
+        candidates = []
+        for parent, (hyp, (logps, _)) in enumerate(zip(live, increments)):
+            inc = np.zeros(len(vocab))
+            for w, lp in zip(weights[:n_scorers], logps):
+                inc += w * lp
+            if pep_vec is not None:
+                inc += pep.weight * pep_vec
+            scores = hyp[3] + inc
+            for token in range(len(vocab)):
+                candidates.append((float(scores[token]), token, parent))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+
+        next_live = []
+        for score, token, parent in candidates[:beam]:
+            ids, _, feats, _, _ = live[parent]
+            logps, states = increments[parent]
+            feats = feats.copy()
+            for i, lp in enumerate(logps):
+                feats[i] += float(lp[token])
+            if pep_vec is not None:
+                feats[-1] += pep_vec[token]
+            child = (ids + (token,), token, feats, score, states)
+            if token == Vocab.EOS:
+                completed.append(child)
+            else:
+                next_live.append(child)
+        live = next_live
+        if not live:
+            break
+        if len(completed) >= beam:
+            worst = sorted(h[3] for h in completed)[-beam]
+            if max(h[3] for h in live) <= worst:
+                break
+
+    truncated = not completed
+    entries = []
+    for ids, _, feats, score, _ in completed if completed else live:
+        scale = 1.0 / max(len(ids), 1)
+        tokens = vocab.words(t for t in ids if t != Vocab.EOS)
+        named = tuple((n, float(v * scale)) for n, v in zip(names, feats))
+        entries.append((score * scale, tokens, NBestEntry(tokens, named, float(score * scale))))
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    return NBestList(
+        sentence_id=sentence_id,
+        entries=tuple(e[2] for e in entries[:beam]),
+        truncated=truncated,
+    )

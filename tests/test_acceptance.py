@@ -24,12 +24,12 @@ from apeforge.decoder import (
     PepFeature,
     ScorerBinding,
     decode,
+    exact_accuracy,
 )
 from apeforge.metrics import bleu, corpus_ter, ter
 from apeforge.ngram_lm import select_by_xent, train_lm
 from apeforge.nmt import (
     TrainConfig,
-    exact_accuracy,
     gradient_check,
     init_model,
     train,

@@ -272,6 +272,14 @@ class TestSelectTer:
         assert text.startswith("count ")
         assert "corpus_ter" in text
 
+    def test_infinite_margin_keeps_whole_pool(self, runner, tmp_path):
+        # the pool the default margin drops entirely (see
+        # _select_pool_outside_reference) survives an infinite margin
+        args, _ = _select_pool_outside_reference(tmp_path)
+        result = runner.invoke(cli, args + ["--outlier-margin", "inf"])
+        assert result.exit_code == 0, result.output
+        assert "selected 1 of 3 triplets (0 outliers dropped)" in result.output
+
 
 TRAIN_CFG = """\
 # toy-scale model
@@ -721,20 +729,23 @@ def _empty_hyp_line(tmp_path):
     return args, hyp
 
 
-def _misaligned_pool(tmp_path):
-    triplets = [Triplet(src=("s",), mt=("a", "b"), pe=("a", "b"))] * 2
-    write_triplets(tmp_path / "pool", triplets)
-    write_triplets(tmp_path / "ref", triplets)
-    write(tmp_path / "pool.mt", ["a b"])
-    args = [
+def _select_ter_args(tmp_path, pool):
+    return [
         "select", "ter",
-        "--pool", str(tmp_path / "pool"),
+        "--pool", str(pool),
         "--reference", str(tmp_path / "ref"),
         "--n", "1",
         "--out", str(tmp_path / "picked"),
         "--report", str(tmp_path / "stats.txt"),
     ]
-    return args, tmp_path / "pool.mt"
+
+
+def _misaligned_pool(tmp_path):
+    triplets = [Triplet(src=("s",), mt=("a", "b"), pe=("a", "b"))] * 2
+    write_triplets(tmp_path / "pool", triplets)
+    write_triplets(tmp_path / "ref", triplets)
+    write(tmp_path / "pool.mt", ["a b"])
+    return _select_ter_args(tmp_path, tmp_path / "pool"), tmp_path / "pool.mt"
 
 
 def _decode_args(tmp_path, scorer_line):
@@ -776,15 +787,28 @@ def _missing_mix_corpus(tmp_path):
 def _missing_select_pool(tmp_path):
     write_triplets(tmp_path / "ref", [Triplet(src=("s",), mt=("a",), pe=("a",))])
     missing = tmp_path / "missing"
-    args = [
-        "select", "ter",
-        "--pool", str(missing),
-        "--reference", str(tmp_path / "ref"),
-        "--n", "1",
-        "--out", str(tmp_path / "picked"),
-        "--report", str(tmp_path / "stats.txt"),
-    ]
-    return args, missing
+    return _select_ter_args(tmp_path, missing), missing
+
+
+def _empty_select_pool(tmp_path):
+    write_triplets(tmp_path / "ref", [Triplet(src=("s",), mt=("a",), pe=("a",))])
+    write_triplets(tmp_path / "pool", [])
+    return _select_ter_args(tmp_path, tmp_path / "pool"), tmp_path / "pool"
+
+
+def _empty_select_reference(tmp_path):
+    write_triplets(tmp_path / "ref", [])
+    write_triplets(tmp_path / "pool", [Triplet(src=("s",), mt=("a",), pe=("a",))])
+    return _select_ter_args(tmp_path, tmp_path / "pool"), tmp_path / "ref"
+
+
+def _select_pool_outside_reference(tmp_path):
+    # every pool triplet has edits; the one reference triplet has none, so
+    # the default --outlier-margin drops the whole pool
+    write_triplets(tmp_path / "ref", [Triplet(src=("a",), mt=("a",), pe=("a",))])
+    pool = [Triplet(src=("s", "t"), mt=("a", "b", "c"), pe=("a", "c"))] * 3
+    write_triplets(tmp_path / "pool", pool)
+    return _select_ter_args(tmp_path, tmp_path / "pool"), tmp_path / "pool"
 
 
 def _lm_xent_args(tmp_path, arpa_lines):
@@ -850,6 +874,9 @@ def _short_report_mt(tmp_path):
         _one_field_mix_line,
         _missing_mix_corpus,
         _missing_select_pool,
+        _empty_select_pool,
+        _empty_select_reference,
+        _select_pool_outside_reference,
         _arpa_without_sections,
         _arpa_non_numeric_logprob,
         _bpe_model_without_header,
@@ -886,6 +913,7 @@ def _bounded_option_commands(tmp_path, model_path, text):
             "select", "ter", "--pool", dev, "--reference", dev,
             "--out", str(tmp_path / "picked"), "--report", str(tmp_path / "stats.txt"),
         ],
+        "nmt grad-check": ["nmt", "grad-check"],
         "synth roundtrip": [
             "synth", "roundtrip", "--mono", str(text), "--reverse", str(model_path),
             "--forward", str(model_path), "--out", str(tmp_path / "rt"),
@@ -907,6 +935,9 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("select ter", ["--n", "1", "--traversal-cap", "0"], "'--traversal-cap'"),
         ("select ter", ["--n", "2", "--traversal-cap", "1"], "traversal_cap must be >= n"),
         ("synth roundtrip", ["--beam", "0"], "'--beam'"),
+        ("select ter", ["--n", "1", "--outlier-margin", "-0.1"], "'--outlier-margin'"),
+        ("nmt grad-check", ["--embedding-dim", "0"], "'--embedding-dim'"),
+        ("nmt grad-check", ["--hidden-dim", "0"], "'--hidden-dim'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

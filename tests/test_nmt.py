@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from apeforge.corpus import Vocab
+from apeforge.decoder import NmtScorer, ScorerBinding, decode, exact_accuracy
 from apeforge.nmt import (
     CheckpointError,
     DecodeState,
@@ -17,10 +18,8 @@ from apeforge.nmt import (
     InputError,
     TrainConfig,
     dev_loss,
-    exact_accuracy,
     forward,
     gradient_check,
-    greedy_decode,
     init_model,
     load,
     save,
@@ -179,8 +178,8 @@ class TestForward:
         state = DecodeState.start(model, src)
         prev = Vocab.BOS
         for t, tok in enumerate(tgt + [Vocab.EOS]):
-            logp, state = state.step(model, prev)
-            np.testing.assert_array_equal(logp, cache.logps[t][0])
+            logp, state = state.step(model, [0], [prev])
+            np.testing.assert_array_equal(logp[0], cache.logps[t][0])
             prev = tok
 
     def test_permuting_source_changes_distribution(self, copy_task):
@@ -313,8 +312,9 @@ class TestTraining:
     def test_greedy_decode_emits_token_ids(self, copy_task):
         vocab, pairs, result, _ = copy_task
         src = pairs[0][0]
-        out = greedy_decode(result.model, src)
-        assert all(0 <= t < len(vocab) for t in out)
+        binding = ScorerBinding("nmt", NmtScorer(result.model), tuple(src), 1.0)
+        out = decode([binding], beam=1).entries[0].tokens
+        assert all(0 <= t < len(vocab) for t in vocab.ids(out))
         assert len(out) <= 3 * len(src)
 
     def test_config_validation(self):

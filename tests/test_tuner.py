@@ -226,8 +226,8 @@ class TestTuneEndToEnd:
         def start(self, input_ids):
             return None
 
-        def step(self, state, token):
-            return self.rows.get(token, self.default), None
+        def step(self, state, moves):
+            return np.stack([self.rows.get(t, self.default) for t in moves[:, 1]]), None
 
     def _scenario(self):
         vocab = Vocab(["good", "bad"])
