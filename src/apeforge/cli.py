@@ -182,6 +182,9 @@ def eval_cmd(metric, hyp_path, ref_path, per_sentence):
     """
     hyps = read_sentences(hyp_path)
     refs = read_sentences(ref_path)
+    for path, sentences in ((hyp_path, hyps), (ref_path, refs)):
+        if not sentences:
+            raise click.ClickException(f"{path}: no sentences")
     if len(hyps) != len(refs):
         raise click.ClickException(
             f"{len(hyps)} hypotheses vs {len(refs)} references"

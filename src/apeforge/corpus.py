@@ -7,6 +7,7 @@ Input text is assumed pre-tokenized; this module only splits on whitespace.
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,8 +113,12 @@ class Vocab:
 
 
 def sentence(line: str) -> Sentence:
-    """Split a pre-tokenized line on whitespace runs."""
-    return tuple(line.split())
+    """Split a pre-tokenized line on whitespace runs.
+
+    Words are interned, so a word that recurs across a corpus is held once
+    in memory however many lines and files it appears in.
+    """
+    return tuple(map(sys.intern, line.split()))
 
 
 def config_lines(text: str) -> Iterator[tuple[int, str]]:

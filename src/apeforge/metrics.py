@@ -3,7 +3,10 @@
 TER here is the classic greedy-shift formulation: repeatedly apply the block
 shift that most reduces the word-level edit distance, at unit cost per shift,
 then combine the shift count with the residual insertion/deletion/substitution
-counts. Scores are percentages of the reference length.
+counts. Scores are percentages of the reference length. Candidate shifts
+are scored with bit-parallel Levenshtein, resumed from the DP state of the
+prefix each candidate shares with the current hypothesis; the traceback DP
+runs only for the decomposition of each accepted arrangement.
 """
 
 from __future__ import annotations
@@ -55,30 +58,6 @@ class TerAlignment:
     @property
     def num_edits(self) -> int:
         return self.insertions + self.deletions + self.substitutions + self.shifts
-
-
-def _lev_cost(hyp: Sequence[str], ref: Sequence[str]) -> int:
-    """Two-row Levenshtein cost with unit edit weights."""
-    if not hyp:
-        return len(ref)
-    if not ref:
-        return len(hyp)
-    prev = list(range(len(ref) + 1))
-    cur = [0] * (len(ref) + 1)
-    for i, h in enumerate(hyp, 1):
-        cur[0] = i
-        for j, r in enumerate(ref, 1):
-            if h == r:
-                cur[j] = prev[j - 1]
-            else:
-                best = prev[j - 1]
-                if prev[j] < best:
-                    best = prev[j]
-                if cur[j - 1] < best:
-                    best = cur[j - 1]
-                cur[j] = best + 1
-        prev, cur = cur, prev
-    return prev[len(ref)]
 
 
 def _align(hyp: Sequence[str], ref: Sequence[str]) -> list[str]:
@@ -159,6 +138,32 @@ def _ref_spans(ref: Sequence[str]) -> set[tuple[str, ...]]:
     return spans
 
 
+def _advance(peq: dict, mask: int, high: int, state, tokens):
+    """Bit-parallel Levenshtein (Myers 1999, global form of Hyyrö 2001).
+
+    state = (vp, vn, cost) is one DP column over the reference: bit i of
+    vp/vn is set where cell i+1 exceeds/undercuts cell i by one, and cost is
+    the distance from the hypothesis tokens scanned so far to the whole
+    reference. peq maps each reference word to the bitmask of its positions.
+    Returns the state after scanning `tokens`.
+    """
+    vp, vn, cost = state
+    for tok in tokens:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & high:
+            cost += 1
+        elif hn & high:
+            cost -= 1
+        # The top row is D[0][j] = j, so a +1 horizontal delta enters at bit 0.
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | ~(hp | d0)) & mask
+    return vp, vn, cost
+
+
 def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
     """Greedy-shift TER of a hypothesis against one reference.
 
@@ -195,10 +200,18 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
 
     if cost:
         spans = _ref_spans(ref)
+        m = len(ref)
+        peq: dict[str, int] = {}
+        for i, word in enumerate(ref):
+            peq[word] = peq.get(word, 0) | (1 << i)
+        mask = (1 << m) - 1
+        high = 1 << (m - 1)
         while True:
             mis = _hyp_misalignment(ops)
             n = len(cur)
-            best = None  # (gain, start, length, dest, candidate, cost)
+            # DP state after each prefix of cur, extended as blocks need it
+            prefix = [(mask, 0, m)]
+            best = None  # (gain, start, length, dest)
             done = False
             for start in range(n):
                 if done:
@@ -206,21 +219,30 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
                 any_mis = False
                 limit = min(MAX_BLOCK, n - start)
                 for length in range(1, limit + 1):
-                    block = tuple(cur[start : start + length])
-                    if block not in spans:
+                    if tuple(cur[start : start + length]) not in spans:
                         # prefix closure: longer blocks from here can't match
                         break
                     any_mis = any_mis or mis[start + length - 1]
                     if not any_mis:
                         continue
-                    rest = cur[:start] + cur[start + length :]
-                    for dest in range(len(rest) + 1):
-                        if dest == start:
+                    while len(prefix) <= start:
+                        p = len(prefix)
+                        prefix.append(_advance(peq, mask, high, prefix[-1], cur[p - 1 : p]))
+                    block = cur[start : start + length]
+                    after = cur[start + length :]
+                    # A candidate equals cur up to min(start, dest), so only
+                    # its tail from there on is scanned.
+                    for dest in range(n - length + 1):
+                        if dest < start:
+                            state, tail = prefix[dest], block + cur[dest:start] + after
+                        elif dest > start:
+                            k = dest - start
+                            state, tail = prefix[start], after[:k] + block + after[k:]
+                        else:
                             continue
-                        cand = rest[:dest] + list(block) + rest[dest:]
-                        gain = cost - _lev_cost(cand, ref)
+                        gain = cost - _advance(peq, mask, high, state, tail)[2]
                         if gain >= 1 and (best is None or gain > best[0]):
-                            best = (gain, start, length, dest, cand)
+                            best = (gain, start, length, dest)
                             if gain == cost:
                                 done = True  # residual hit zero, cannot improve
                                 break
@@ -228,10 +250,12 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
                         break
             if best is None:
                 break
+            gain, start, length, dest = best
             shifts += 1
-            trace.append((best[1], best[2], best[3]))
-            cur = best[4]
-            cost -= best[0]
+            trace.append((start, length, dest))
+            rest = cur[:start] + cur[start + length :]
+            cur = rest[:dest] + cur[start : start + length] + rest[dest:]
+            cost -= gain
             ops = _align(cur, ref)
             if cost == 0:
                 break

@@ -96,6 +96,109 @@ def exhaustive_shift_edits(hyp, ref, max_block: int = 10) -> int:
     return best
 
 
+def ter_greedy_reference(hyp, ref):
+    """Greedy-shift TER that scores every candidate shift with a fresh
+    two-row DP over the whole candidate; the reference for metrics.ter,
+    which scores candidates bit-parallel from cached prefix states.
+
+    The move set, the tie-break and the final decomposition are metrics.ter's
+    own: blocks are hypothesis spans that match a reference span, hold a
+    misaligned word and are at most MAX_BLOCK long; the first strictly best
+    gain wins in (start, length, dest) order; the search stops early when a
+    shift leaves no residual edit. The traceback (`_align`) is shared with
+    the package and checked on its own against lev_matrix.
+    """
+    from apeforge.metrics import (
+        MAX_BLOCK,
+        TerAlignment,
+        _align,
+        _counts_from_ops,
+        _hyp_misalignment,
+        _ref_spans,
+    )
+
+    def lev_two_row(a, b):
+        prev = list(range(len(b) + 1))
+        for i, x in enumerate(a, 1):
+            cur = [i] + [0] * len(b)
+            for j, y in enumerate(b, 1):
+                cur[j] = min(prev[j - 1] + (x != y), prev[j] + 1, cur[j - 1] + 1)
+            prev = cur
+        return prev[len(b)]
+
+    hyp = list(hyp)
+    ref = list(ref)
+    if not ref:
+        return TerAlignment(
+            insertions=0,
+            deletions=len(hyp),
+            substitutions=0,
+            shifts=0,
+            ref_len=0,
+            ter=100.0 * len(hyp),
+            degenerate=bool(hyp),
+        )
+    if hyp == ref:
+        return TerAlignment(0, 0, 0, 0, len(ref), 0.0)
+
+    cur = hyp
+    ops = _align(cur, ref)
+    cost = sum(1 for op in ops if op != "eq")
+    shifts = 0
+    trace = []
+    if cost:
+        spans = _ref_spans(ref)
+        while True:
+            mis = _hyp_misalignment(ops)
+            n = len(cur)
+            best = None  # (gain, start, length, dest, candidate)
+            done = False
+            for start in range(n):
+                if done:
+                    break
+                any_mis = False
+                for length in range(1, min(MAX_BLOCK, n - start) + 1):
+                    block = tuple(cur[start : start + length])
+                    if block not in spans:
+                        break
+                    any_mis = any_mis or mis[start + length - 1]
+                    if not any_mis:
+                        continue
+                    rest = cur[:start] + cur[start + length :]
+                    for dest in range(len(rest) + 1):
+                        if dest == start:
+                            continue
+                        cand = rest[:dest] + list(block) + rest[dest:]
+                        gain = cost - lev_two_row(cand, ref)
+                        if gain >= 1 and (best is None or gain > best[0]):
+                            best = (gain, start, length, dest, cand)
+                            if gain == cost:
+                                done = True
+                                break
+                    if done:
+                        break
+            if best is None:
+                break
+            shifts += 1
+            trace.append((best[1], best[2], best[3]))
+            cur = best[4]
+            cost -= best[0]
+            ops = _align(cur, ref)
+            if cost == 0:
+                break
+
+    counts = _counts_from_ops(ops)
+    return TerAlignment(
+        insertions=counts.insertions,
+        deletions=counts.deletions,
+        substitutions=counts.substitutions,
+        shifts=shifts,
+        ref_len=len(ref),
+        ter=100.0 * (counts.cost + shifts) / len(ref),
+        shift_trace=tuple(trace),
+    )
+
+
 def bpe_apply_reference(merges, token: str, end_marker: str = "</w>") -> list[str]:
     """Apply merges strictly in learned order, one full pass per merge."""
     syms = list(token) + [end_marker]

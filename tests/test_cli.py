@@ -139,6 +139,35 @@ class TestEvalCommand:
         assert result.exit_code != 0
         assert "1 hypotheses vs 2 references" in result.output
 
+    @pytest.mark.parametrize(
+        "metric, extra", [("ter", []), ("bleu", []), ("ter", ["--per-sentence"])]
+    )
+    @pytest.mark.parametrize("empty_side", ["hyp", "ref"])
+    def test_empty_file_fails(self, runner, tmp_path, metric, extra, empty_side):
+        full = tmp_path / "full.txt"
+        empty = tmp_path / "empty.txt"
+        write(full, ["ein haus"])
+        empty.write_text("")
+        paths = {"hyp": full, "ref": full, empty_side: empty}
+        result = runner.invoke(
+            cli,
+            ["eval", "--metric", metric,
+             "--hyp", str(paths["hyp"]), "--ref", str(paths["ref"])] + extra,
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {empty}: no sentences\n"
+
+    def test_both_files_empty_names_hypothesis(self, runner, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("")
+        ref.write_text("")
+        result = runner.invoke(
+            cli, ["eval", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(ref)]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: {hyp}: no sentences\n"
+
 
 IN_DOMAIN = [
     "der hund bellt laut",

@@ -78,6 +78,21 @@ class TestTripletIO:
         assert read_sentences(p) == corpus
         assert p.read_bytes() == b"a b\nc\n"
 
+    def test_repeated_words_are_one_object(self, tmp_path):
+        prefix = tmp_path / "d"
+        for suffix, text in (
+            (".src", "quelle eins\nquelle zwei\n"),
+            (".mt", "das haus\nein haus\n"),
+            (".pe", "das haus\nhaus dort\n"),
+        ):
+            (tmp_path / ("d" + suffix)).write_text(text)
+        first, second = read_triplets(prefix)
+        assert (first.mt, second.mt) == (("das", "haus"), ("ein", "haus"))
+        assert (first.pe, second.pe) == (("das", "haus"), ("haus", "dort"))
+        assert first.mt[1] is second.mt[1]  # across lines
+        assert first.mt[1] is first.pe[1] is second.pe[0]  # across .mt and .pe
+        assert first.src[0] is second.src[0]
+
     def test_triplet_paths_suffixes(self, tmp_path):
         paths = triplet_paths(tmp_path / "x")
         assert [p.suffix for p in paths] == [".src", ".mt", ".pe"]

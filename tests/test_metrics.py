@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apeforge.corpus import Triplet
 from apeforge.metrics import (
+    MAX_BLOCK,
     EditCounts,
     TerAlignment,
     bleu,
@@ -16,8 +17,9 @@ from apeforge.metrics import (
     edit_distance,
     ter,
 )
+from apeforge.pipeline import NoiseSpec, synth_corrupt
 from apeforge.triplet_select import STAT_COMPONENTS, stat_vector
-from helpers import exhaustive_shift_edits, lev_matrix, lev_recursive
+from helpers import exhaustive_shift_edits, lev_matrix, lev_recursive, ter_greedy_reference
 
 TOKENS = st.sampled_from(["a", "b", "c", "d"])
 SENT = st.lists(TOKENS, min_size=0, max_size=6)
@@ -166,6 +168,66 @@ class TestTer:
         a = ter(hyp, ref)
         for _start, length, _dest in a.shift_trace:
             assert length <= 10
+
+
+# Pairs over a 3- or 4-word alphabet: repeats make many blocks movable.
+SMALL_ALPHABET_PAIR = st.integers(3, 4).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.sampled_from("abcd"[:k]), max_size=14),
+        st.lists(st.sampled_from("abcd"[:k]), max_size=14),
+    )
+)
+
+
+class TestTerMatchesGreedyReference:
+    """ter scores shifts bit-parallel from cached prefix states; the result,
+    shift trace included, must equal the plain greedy search's."""
+
+    @given(SMALL_ALPHABET_PAIR)
+    @settings(max_examples=300, deadline=None)
+    def test_small_alphabet_pairs(self, pair):
+        hyp, ref = pair
+        assert ter(hyp, ref) == ter_greedy_reference(hyp, ref)
+
+    def test_synth_corrupt_pairs_with_swaps(self):
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(12)]
+        spec = NoiseSpec(
+            substitution=0.2,
+            deletion=0.1,
+            insertion=0.1,
+            swap=0.2,
+            confusion={w: (words[(i + 1) % 12],) for i, w in enumerate(words)},
+            fillers=("x", "y"),
+        )
+        pe = [
+            tuple(words[j] for j in rng.integers(0, 12, rng.integers(3, 31)))
+            for _ in range(30)
+        ]
+        pairs = [(t.mt, t.pe) for t in synth_corrupt(pe, spec, seed=5)]
+        assert any(a.shifts for a in (ter(h, r) for h, r in pairs))
+        for hyp, ref in pairs:
+            assert ter(hyp, ref) == ter_greedy_reference(hyp, ref)
+
+    def test_empty_hypothesis(self):
+        assert ter([], ["a", "b"]) == ter_greedy_reference([], ["a", "b"])
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65])
+    def test_reference_lengths_around_the_word_size(self, m):
+        # A short hypothesis keeps the reference search cheap while the
+        # bit vectors span the whole reference.
+        ref = [f"t{i}" for i in range(m)]
+        hyp = ref[-3:] + ["x"] + ref[:4]
+        a = ter(hyp, ref)
+        assert a == ter_greedy_reference(hyp, ref)
+        assert a.shifts == (m > 1)
+
+    def test_block_of_max_block_words(self):
+        ref = [f"a{i}" for i in range(MAX_BLOCK)] + [f"b{i}" for i in range(MAX_BLOCK)]
+        hyp = ref[MAX_BLOCK:] + ref[:MAX_BLOCK]
+        a = ter(hyp, ref)
+        assert a == ter_greedy_reference(hyp, ref)
+        assert a.shift_trace == ((0, MAX_BLOCK, MAX_BLOCK),)
 
 
 class TestTripletStats:
