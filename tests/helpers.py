@@ -98,7 +98,7 @@ def exhaustive_shift_edits(hyp, ref, max_block: int = 10) -> int:
 
 def ter_greedy_reference(hyp, ref):
     """Greedy-shift TER that scores every candidate shift with a fresh
-    two-row DP over the whole candidate; the reference for metrics.ter,
+    full-matrix DP over the whole candidate; the reference for metrics.ter,
     which scores candidates bit-parallel from cached prefix states.
 
     The move set, the tie-break and the final decomposition are metrics.ter's
@@ -116,15 +116,6 @@ def ter_greedy_reference(hyp, ref):
         _hyp_misalignment,
         _ref_spans,
     )
-
-    def lev_two_row(a, b):
-        prev = list(range(len(b) + 1))
-        for i, x in enumerate(a, 1):
-            cur = [i] + [0] * len(b)
-            for j, y in enumerate(b, 1):
-                cur[j] = min(prev[j - 1] + (x != y), prev[j] + 1, cur[j - 1] + 1)
-            prev = cur
-        return prev[len(b)]
 
     hyp = list(hyp)
     ref = list(ref)
@@ -169,7 +160,7 @@ def ter_greedy_reference(hyp, ref):
                         if dest == start:
                             continue
                         cand = rest[:dest] + list(block) + rest[dest:]
-                        gain = cost - lev_two_row(cand, ref)
+                        gain = cost - lev_matrix(cand, ref)
                         if gain >= 1 and (best is None or gain > best[0]):
                             best = (gain, start, length, dest, cand)
                             if gain == cost:
