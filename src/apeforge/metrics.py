@@ -219,7 +219,8 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
                 any_mis = False
                 limit = min(MAX_BLOCK, n - start)
                 for length in range(1, limit + 1):
-                    if tuple(cur[start : start + length]) not in spans:
+                    block = cur[start : start + length]
+                    if tuple(block) not in spans:
                         # prefix closure: longer blocks from here can't match
                         break
                     any_mis = any_mis or mis[start + length - 1]
@@ -228,7 +229,6 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
                     while len(prefix) <= start:
                         p = len(prefix)
                         prefix.append(_advance(peq, mask, high, prefix[-1], cur[p - 1 : p]))
-                    block = cur[start : start + length]
                     after = cur[start + length :]
                     # A candidate equals cur up to min(start, dest), so only
                     # its tail from there on is scanned.

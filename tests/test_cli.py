@@ -142,31 +142,19 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "metric, extra", [("ter", []), ("bleu", []), ("ter", ["--per-sentence"])]
     )
-    @pytest.mark.parametrize("empty_side", ["hyp", "ref"])
+    @pytest.mark.parametrize("empty_side", ["hyp", "ref", "both"])
     def test_empty_file_fails(self, runner, tmp_path, metric, extra, empty_side):
-        full = tmp_path / "full.txt"
-        empty = tmp_path / "empty.txt"
-        write(full, ["ein haus"])
-        empty.write_text("")
-        paths = {"hyp": full, "ref": full, empty_side: empty}
+        paths = {side: tmp_path / f"{side}.txt" for side in ("hyp", "ref")}
+        for side, path in paths.items():
+            path.write_text("" if empty_side in (side, "both") else "ein haus\n")
         result = runner.invoke(
             cli,
             ["eval", "--metric", metric,
              "--hyp", str(paths["hyp"]), "--ref", str(paths["ref"])] + extra,
         )
         assert result.exit_code == 1
-        assert result.output == f"Error: {empty}: no sentences\n"
-
-    def test_both_files_empty_names_hypothesis(self, runner, tmp_path):
-        hyp = tmp_path / "hyp.txt"
-        ref = tmp_path / "ref.txt"
-        hyp.write_text("")
-        ref.write_text("")
-        result = runner.invoke(
-            cli, ["eval", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(ref)]
-        )
-        assert result.exit_code == 1
-        assert result.output == f"Error: {hyp}: no sentences\n"
+        named = paths["ref" if empty_side == "ref" else "hyp"]
+        assert result.output == f"Error: {named}: no sentences\n"
 
 
 IN_DOMAIN = [
