@@ -223,7 +223,7 @@ def lm():
     help="Subsample the corpus to about this many tokens before training, "
     "to equalize sizes between models.",
 )
-@click.option("--sample-seed", default=0, show_default=True, type=int)
+@click.option("--sample-seed", default=0, show_default=True, type=click.IntRange(min=0))
 def lm_train(in_path, out_path, order, sample_tokens, sample_seed):
     sentences = read_sentences(in_path)
     if sample_tokens is not None:
@@ -259,24 +259,31 @@ def select():
     """Data selection: cross-entropy difference and statistics matching."""
 
 
-def _parse_keep(value: str):
-    if "." in value:
-        return float(value)
-    return int(value)
+def _parse_keep(ctx, param, value: str):
+    """A line count, or a fraction in (0, 1] when the value has a '.'."""
+    try:
+        keep = float(value) if "." in value else int(value)
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a line count or a fraction") from None
+    if isinstance(keep, float) and not 0.0 < keep <= 1.0:
+        raise click.BadParameter(f"{value!r} is not a fraction in (0, 1]")
+    return keep
 
 
 @select.command("xent")
 @click.option("--in-domain", "in_lm_path", required=True, type=click.Path(exists=True))
 @click.option("--out-domain", "out_lm_path", required=True, type=click.Path(exists=True))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
-@click.option("--keep", required=True, help="Line count, or a fraction in (0, 1].")
+@click.option(
+    "--keep", required=True, callback=_parse_keep, help="Line count, or a fraction in (0, 1]."
+)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):
     """Keep the lines scored most in-domain by cross-entropy difference."""
     in_lm = read_arpa(in_lm_path)
     out_lm = read_arpa(out_lm_path)
     sentences = read_sentences(corpus_path)
-    indices = select_by_xent(in_lm, out_lm, sentences, _parse_keep(keep))
+    indices = select_by_xent(in_lm, out_lm, sentences, keep)
     selected = [sentences[i] for i in indices]
     if out_path is None:
         for s in selected:
@@ -376,7 +383,7 @@ def nmt_train(src_path, tgt_path, config_path, out_dir):
 @nmt.command("grad-check")
 @click.option("--embedding-dim", default=8, show_default=True, type=click.IntRange(min=1))
 @click.option("--hidden-dim", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--tolerance", default=1e-3, show_default=True, type=float)
 def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
     """Check analytic gradients against finite differences on a random model."""
@@ -468,7 +475,7 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 @click.option("--mira-c", default=0.01, show_default=True,
               type=click.FloatRange(min=0.0, min_open=True))
 @click.option("--inner-epochs", default=15, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, seed, out_path):
     """Optimize feature weights toward lower TER on a dev triplet set."""
@@ -541,7 +548,7 @@ def synth():
 @synth.command("corrupt")
 @click.option("--pe", "pe_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_prefix", required=True)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--substitution", default=0.0, show_default=True, type=float)
 @click.option("--deletion", default=0.0, show_default=True, type=float)
 @click.option("--insertion", default=0.0, show_default=True, type=float)

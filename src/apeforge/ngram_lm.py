@@ -229,10 +229,12 @@ def select_by_xent(
     original line order (stable sort on the score alone).
     """
     n = len(corpus)
-    if isinstance(keep, float) and 0.0 < keep <= 1.0:
+    if isinstance(keep, float):
+        if not 0.0 < keep <= 1.0:
+            raise LmError(f"keep={keep} is not a fraction in (0, 1]")
         k = round(n * keep)
     else:
-        k = int(keep)
+        k = keep
     if not 0 <= k <= n:
         raise LmError(f"keep={keep} out of range for corpus of {n} lines")
     scores = xent_scores(in_lm, out_lm, corpus)

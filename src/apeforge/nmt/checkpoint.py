@@ -1,10 +1,15 @@
 """Binary model checkpoints.
 
 Layout (all integers little-endian uint32 unless noted):
-magic bytes, format version, embedding_dim, hidden_dim, two vocab tables
+magic bytes, format version (2), embedding_dim, hidden_dim, two vocab tables
 (count, then length-prefixed UTF-8 tokens including the reserved ones),
-tensor count, then per tensor: length-prefixed name, ndim, dims, raw
-float64 little-endian data, crc32 of the data bytes.
+tensor count, then per tensor in sorted-name order: length-prefixed name,
+ndim, dims, raw float64 little-endian data, crc32 of the data bytes.
+
+The tensors are those of `model.param_shapes`: src_emb, tgt_emb, att_W,
+att_U, att_b, att_v, init_W, init_b, out_W, out_b, and for each GRU prefix
+enc_f, enc_b and dec the fused {prefix}_W (3H, in) and {prefix}_b (3H,) with
+gates in z, r, h order, {prefix}_Uzr (2H, H) and {prefix}_Uh (H, H).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from ..corpus import Vocab
 from .model import Seq2SeqModel, param_shapes
 
 MAGIC = b"APEF-NMT"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):

@@ -29,12 +29,7 @@ class InputError(Exception):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _log_softmax(x):
@@ -47,17 +42,19 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-_GRU_GATES = ("z", "r", "h")
-
 # gradient_check: finite-difference step and coordinates probed per tensor.
 GRAD_CHECK_EPSILON = 1e-4
-GRAD_CHECK_COORDS = 6
+GRAD_CHECK_COORDS = 11
 
 
 def param_shapes(
     src_vocab_size: int, tgt_vocab_size: int, embedding_dim: int, hidden_dim: int
 ) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter tensor of a model of these sizes."""
+    """Name and shape of every parameter tensor of a model of these sizes.
+
+    Each GRU stacks its update (z), reset (r) and candidate gates, in that
+    order, in one input matrix `W` (3H, in) and bias `b` (3H,); `Uzr` (2H, H)
+    is the z and r recurrent matrix, and `Uh` (H, H) multiplies r*h_prev."""
     e, h = embedding_dim, hidden_dim
     ctx = 2 * h
     shapes: dict[str, tuple[int, ...]] = {
@@ -73,10 +70,10 @@ def param_shapes(
         "out_b": (tgt_vocab_size,),
     }
     for prefix, in_dim in (("enc_f", e), ("enc_b", e), ("dec", e + ctx)):
-        for g in _GRU_GATES:
-            shapes[f"{prefix}_W{g}"] = (h, in_dim)
-            shapes[f"{prefix}_U{g}"] = (h, h)
-            shapes[f"{prefix}_b{g}"] = (h,)
+        shapes[f"{prefix}_W"] = (3 * h, in_dim)
+        shapes[f"{prefix}_b"] = (3 * h,)
+        shapes[f"{prefix}_Uzr"] = (2 * h, h)
+        shapes[f"{prefix}_Uh"] = (h, h)
     return shapes
 
 
@@ -137,54 +134,44 @@ def pad_batch(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _GruStep:
-    """One masked GRU step with enough saved state to run backward."""
+    """One masked GRU step with enough saved state to run backward; `zr`
+    holds the z and r gates side by side."""
 
-    __slots__ = ("x", "h_prev", "z", "r", "c", "m", "h")
+    __slots__ = ("x", "h_prev", "zr", "c", "m", "h")
 
     def __init__(self, p, prefix, x, h_prev, m):
+        hd = h_prev.shape[1]
         self.x = x
         self.h_prev = h_prev
         self.m = m
-        self.z = _sigmoid(x @ p[f"{prefix}_Wz"].T + h_prev @ p[f"{prefix}_Uz"].T + p[f"{prefix}_bz"])
-        self.r = _sigmoid(x @ p[f"{prefix}_Wr"].T + h_prev @ p[f"{prefix}_Ur"].T + p[f"{prefix}_br"])
-        self.c = np.tanh(
-            x @ p[f"{prefix}_Wh"].T + (self.r * h_prev) @ p[f"{prefix}_Uh"].T + p[f"{prefix}_bh"]
-        )
-        h_new = (1.0 - self.z) * h_prev + self.z * self.c
+        a = x @ p[prefix + "_W"].T + p[prefix + "_b"]  # (B, 3H)
+        self.zr = _sigmoid(a[:, : 2 * hd] + h_prev @ p[prefix + "_Uzr"].T)
+        z, r = self.zr[:, :hd], self.zr[:, hd:]
+        self.c = np.tanh(a[:, 2 * hd :] + (r * h_prev) @ p[prefix + "_Uh"].T)
+        h_new = (1.0 - z) * h_prev + z * self.c
         self.h = m[:, None] * h_new + (1.0 - m[:, None]) * h_prev
 
     def backward(self, p, prefix, dh, grads):
         """Given dL/dh for this step's output, return (dx, dh_prev)."""
+        hd = dh.shape[1]
+        z, r = self.zr[:, :hd], self.zr[:, hd:]
         m = self.m[:, None]
         dh_new = dh * m
-        dh_prev = dh * (1.0 - m)
-        dz = dh_new * (self.c - self.h_prev)
-        dc = dh_new * self.z
-        dh_prev += dh_new * (1.0 - self.z)
+        dh_prev = dh * (1.0 - m) + dh_new * (1.0 - z)
 
-        dac = dc * (1.0 - self.c**2)
-        grads[f"{prefix}_Wh"] += dac.T @ self.x
-        grads[f"{prefix}_Uh"] += dac.T @ (self.r * self.h_prev)
-        grads[f"{prefix}_bh"] += dac.sum(axis=0)
-        dx = dac @ p[f"{prefix}_Wh"]
-        drh = dac @ p[f"{prefix}_Uh"]
-        dr = drh * self.h_prev
-        dh_prev += drh * self.r
+        dac = dh_new * z * (1.0 - self.c**2)
+        grads[prefix + "_Uh"] += dac.T @ (r * self.h_prev)
+        drh = dac @ p[prefix + "_Uh"]
+        dh_prev += drh * r
 
-        daz = dz * self.z * (1.0 - self.z)
-        grads[f"{prefix}_Wz"] += daz.T @ self.x
-        grads[f"{prefix}_Uz"] += daz.T @ self.h_prev
-        grads[f"{prefix}_bz"] += daz.sum(axis=0)
-        dx += daz @ p[f"{prefix}_Wz"]
-        dh_prev += daz @ p[f"{prefix}_Uz"]
-
-        dar = dr * self.r * (1.0 - self.r)
-        grads[f"{prefix}_Wr"] += dar.T @ self.x
-        grads[f"{prefix}_Ur"] += dar.T @ self.h_prev
-        grads[f"{prefix}_br"] += dar.sum(axis=0)
-        dx += dar @ p[f"{prefix}_Wr"]
-        dh_prev += dar @ p[f"{prefix}_Ur"]
-        return dx, dh_prev
+        dzr = np.concatenate([dh_new * (self.c - self.h_prev), drh * self.h_prev], axis=1)
+        dazr = dzr * self.zr * (1.0 - self.zr)
+        da = np.concatenate([dazr, dac], axis=1)  # (B, 3H), gates z, r, h
+        grads[prefix + "_W"] += da.T @ self.x
+        grads[prefix + "_b"] += da.sum(axis=0)
+        grads[prefix + "_Uzr"] += dazr.T @ self.h_prev
+        dh_prev += dazr @ p[prefix + "_Uzr"]
+        return da @ p[prefix + "_W"], dh_prev
 
 
 class _Encoder:
@@ -290,20 +277,13 @@ class _DecoderStep:
 
     __slots__ = ("att", "gru", "feat", "logp")
 
-    def __init__(self, p, encoder, s_prev, prev_ids, mask, debug=False):
+    def __init__(self, p, encoder, s_prev, prev_ids, mask):
         self.att = _AttentionStep(p, s_prev, encoder)
-        if debug:
-            sums = self.att.alpha.sum(axis=1)
-            assert np.allclose(sums, 1.0, atol=1e-6), "attention not normalized"
         e_prev = p["tgt_emb"][prev_ids]
         x = np.concatenate([e_prev, self.att.ctx], axis=1)
         self.gru = _GruStep(p, "dec", x, s_prev, mask)
         self.feat = np.concatenate([self.gru.h, self.att.ctx, e_prev], axis=1)
         self.logp = _log_softmax(self.feat @ p["out_W"].T + p["out_b"])
-        if debug:
-            assert np.allclose(
-                np.exp(self.logp).sum(axis=1), 1.0, atol=1e-6
-            ), "output distribution not normalized"
 
 
 @dataclass
@@ -327,7 +307,6 @@ def forward_batch(
     tgt_in: np.ndarray,
     tgt_out: np.ndarray,
     tgt_mask: np.ndarray,
-    debug: bool = False,
 ) -> tuple[float, _ForwardCache]:
     """Mean per-token cross-entropy of the batch plus the backward cache."""
     p = model.params
@@ -344,7 +323,7 @@ def forward_batch(
     rows = np.arange(b)
 
     for t in range(tt):
-        step = _DecoderStep(p, enc, state, tgt_in[:, t], tgt_mask[:, t], debug)
+        step = _DecoderStep(p, enc, state, tgt_in[:, t], tgt_mask[:, t])
         state = step.gru.h
         loss -= (step.logp[rows, tgt_out[:, t]] * tgt_mask[:, t]).sum()
         steps.append(step)
@@ -396,13 +375,11 @@ def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.nd
     return grads
 
 
-def loss_and_grads(model, src_seqs, tgt_seqs, debug=False):
+def loss_and_grads(model, src_seqs, tgt_seqs):
     """Convenience wrapper: lists of id lists in, (loss, grads) out."""
     src_ids, src_mask = pad_batch(src_seqs)
     tgt_in, tgt_out, tgt_mask = target_batch(tgt_seqs)
-    loss, cache = forward_batch(
-        model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, debug=debug
-    )
+    loss, cache = forward_batch(model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask)
     return loss, backward_batch(model, cache)
 
 
@@ -415,17 +392,15 @@ def target_batch(tgt_seqs: list[list[int]]):
     return tgt_in, tgt_out, tgt_mask
 
 
-def batch_loss(model, src_seqs, tgt_seqs, debug=False) -> float:
+def batch_loss(model, src_seqs, tgt_seqs) -> float:
     src_ids, src_mask = pad_batch(src_seqs)
     tgt_in, tgt_out, tgt_mask = target_batch(tgt_seqs)
-    loss, _ = forward_batch(
-        model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, debug=debug
-    )
+    loss, _ = forward_batch(model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask)
     return loss
 
 
 def forward(
-    model: Seq2SeqModel, src: list[int], tgt_prefix: list[int], debug: bool = False
+    model: Seq2SeqModel, src: list[int], tgt_prefix: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next-token log-distribution after consuming tgt_prefix.
 
@@ -437,7 +412,7 @@ def forward(
     state = DecodeState.start(model, src)
     logp = None
     for token in [BOS] + list(tgt_prefix):
-        logp, state = state.step(model, [0], [token], debug=debug)
+        logp, state = state.step(model, [0], [token])
     return logp[0], state.last_alpha[0]
 
 
@@ -461,9 +436,7 @@ class DecodeState:
         enc = _Encoder(model, *pad_batch([list(src)]))
         return cls(enc, enc.s0)
 
-    def step(
-        self, model: Seq2SeqModel, parents, tokens, debug: bool = False
-    ) -> tuple[np.ndarray, "DecodeState"]:
+    def step(self, model: Seq2SeqModel, parents, tokens) -> tuple[np.ndarray, "DecodeState"]:
         """Row i continues row `parents[i]` of this state with the token it
         just emitted, `tokens[i]`. Returns the (B, V) next-token log-probs
         and the B-row state."""
@@ -473,7 +446,6 @@ class DecodeState:
             self.s[np.asarray(parents)],
             np.asarray(tokens),
             np.ones(len(tokens)),
-            debug,
         )
         return step.logp, DecodeState(self.encoder, step.gru.h, step.att.alpha)
 

@@ -22,6 +22,13 @@ class DivergenceError(Exception):
     """Loss became non-finite; message names the offending batch."""
 
 
+# Least value of each integer setting; max_iterations may also be None.
+_MINIMUMS = {
+    "batch_size": 1, "max_sentence_length": 2, "epochs": 1, "shuffle_seed": 0,
+    "checkpoint_every": 1, "max_iterations": 1, "log_every": 1,
+}
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 80
@@ -37,10 +44,16 @@ class TrainConfig:
     fine_tune_from: str | Path | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_sentence_length < 2:
-            raise ValueError("max_sentence_length must be >= 2")
+        for name, least in _MINIMUMS.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError("rho must be > 0 and < 1")
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be > 0")
+        if not self.clip_norm >= 0.0:
+            raise ValueError("clip_norm must be >= 0")
 
 
 # Training-config keys and the type each value converts to.
@@ -53,6 +66,8 @@ _KEY_TYPES = {
     **dict.fromkeys(("rho", "epsilon", "clip_norm"), float),
     "fine_tune_from": str,
 }
+# Least value of each model-size key; TrainConfig checks the others.
+_MODEL_MINIMUMS = {"embedding_dim": 1, "hidden_dim": 1, "init_seed": 0}
 
 
 def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
@@ -73,6 +88,9 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
             raise ParseError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
             ) from None
+    for key, least in _MODEL_MINIMUMS.items():
+        if values.get(key, least) < least:
+            raise ParseError(f"{path}: {key} must be >= {least}")
     model_kw = {
         "embedding_dim": values.pop("embedding_dim", 32),
         "hidden_dim": values.pop("hidden_dim", 32),

@@ -354,3 +354,49 @@ def decode_one_row(bindings, pep=None, beam=12, sentence_id=0):
         entries=tuple(e[2] for e in entries[:beam]),
         truncated=truncated,
     )
+
+
+def gru_step_reference(params, prefix, x, h_prev, m, dh):
+    """One masked GRU step, forward and backward, over per-gate tensors: the
+    reference for the fused `nmt.model._GruStep`.
+
+    `params` holds `{prefix}_W{g}` (H, in), `{prefix}_U{g}` (H, H) and
+    `{prefix}_b{g}` (H,) for each gate g in z, r, h. `m` is the (B,) row
+    mask and `dh` the gradient reaching the step's output. Returns
+    (h, dx, dh_prev, grads), with grads keyed like `params`.
+    """
+    import numpy as np
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    def w(name):
+        return params[f"{prefix}_{name}"]
+
+    z = sigmoid(x @ w("Wz").T + h_prev @ w("Uz").T + w("bz"))
+    r = sigmoid(x @ w("Wr").T + h_prev @ w("Ur").T + w("br"))
+    c = np.tanh(x @ w("Wh").T + (r * h_prev) @ w("Uh").T + w("bh"))
+    h_new = (1.0 - z) * h_prev + z * c
+    mask = m[:, None]
+    h = mask * h_new + (1.0 - mask) * h_prev
+
+    grads = {}
+    dh_new = dh * mask
+    dh_prev = dh * (1.0 - mask) + dh_new * (1.0 - z)
+    dac = dh_new * z * (1.0 - c**2)
+    grads[f"{prefix}_Wh"] = dac.T @ x
+    grads[f"{prefix}_Uh"] = dac.T @ (r * h_prev)
+    grads[f"{prefix}_bh"] = dac.sum(axis=0)
+    dx = dac @ w("Wh")
+    drh = dac @ w("Uh")
+    dh_prev += drh * r
+    for g, da in (
+        ("z", dh_new * (c - h_prev) * z * (1.0 - z)),
+        ("r", drh * h_prev * r * (1.0 - r)),
+    ):
+        grads[f"{prefix}_W{g}"] = da.T @ x
+        grads[f"{prefix}_U{g}"] = da.T @ h_prev
+        grads[f"{prefix}_b{g}"] = da.sum(axis=0)
+        dx += da @ w(f"W{g}")
+        dh_prev += da @ w(f"U{g}")
+    return h, dx, dh_prev, grads

@@ -391,6 +391,46 @@ class TestNmtCommands:
         assert isinstance(result.exception, SystemExit)
         assert f"{cfg}: batch_size must be >= 1" in result.output
 
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("epochs 0", "epochs must be >= 1"),
+            ("checkpoint_every 0", "checkpoint_every must be >= 1"),
+            ("log_every 0", "log_every must be >= 1"),
+            ("max_iterations 0", "max_iterations must be >= 1"),
+            ("max_iterations -1", "max_iterations must be >= 1"),
+            ("shuffle_seed -1", "shuffle_seed must be >= 0"),
+            ("rho 1.5", "rho must be > 0 and < 1"),
+            ("rho 0", "rho must be > 0 and < 1"),
+            ("rho nan", "rho must be > 0 and < 1"),
+            ("epsilon 0", "epsilon must be > 0"),
+            ("clip_norm -1", "clip_norm must be >= 0"),
+            ("init_seed -1", "init_seed must be >= 0"),
+            ("embedding_dim 0", "embedding_dim must be >= 1"),
+            ("hidden_dim 0", "hidden_dim must be >= 1"),
+        ],
+    )
+    def test_config_value_outside_its_range_fails(self, runner, tmp_path, line, rule):
+        for name in ("src.txt", "tgt.txt"):
+            write(tmp_path / name, ["a b"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"batch_size 1\n{line}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            cli,
+            [
+                "nmt", "train",
+                "--src", str(tmp_path / "src.txt"),
+                "--tgt", str(tmp_path / "tgt.txt"),
+                "--config", str(cfg),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {cfg}: {rule}\n"
+        assert not out.exists()
+
     def test_grad_check_passes(self, runner):
         result = runner.invoke(cli, ["nmt", "grad-check"])
         assert result.exit_code == 0, result.output
@@ -931,6 +971,12 @@ def _bounded_option_commands(tmp_path, model_path, text):
             "--out", str(tmp_path / "picked"), "--report", str(tmp_path / "stats.txt"),
         ],
         "nmt grad-check": ["nmt", "grad-check"],
+        "synth corrupt": ["synth", "corrupt", "--pe", str(text), "--out", str(tmp_path / "noisy")],
+        "lm train": ["lm", "train", "--in", str(text), "--out", str(tmp_path / "lm.arpa")],
+        "select xent": [
+            "select", "xent", "--in-domain", str(text), "--out-domain", str(text),
+            "--corpus", str(text),
+        ],
         "synth roundtrip": [
             "synth", "roundtrip", "--mono", str(text), "--reverse", str(model_path),
             "--forward", str(model_path), "--out", str(tmp_path / "rt"),
@@ -955,6 +1001,13 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("select ter", ["--n", "1", "--outlier-margin", "-0.1"], "'--outlier-margin'"),
         ("nmt grad-check", ["--embedding-dim", "0"], "'--embedding-dim'"),
         ("nmt grad-check", ["--hidden-dim", "0"], "'--hidden-dim'"),
+        ("nmt grad-check", ["--seed", "-1"], "'--seed'"),
+        ("tune", ["--seed", "-1"], "'--seed'"),
+        ("synth corrupt", ["--seed", "-1"], "'--seed'"),
+        ("lm train", ["--sample-tokens", "4", "--sample-seed", "-1"], "'--sample-seed'"),
+        ("select xent", ["--keep", "abc"], "'abc'"),
+        ("select xent", ["--keep", "1.5"], "'1.5'"),
+        ("select xent", ["--keep", "0.0"], "'0.0'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

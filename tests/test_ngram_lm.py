@@ -246,6 +246,13 @@ class TestSelection:
         with pytest.raises(LmError):
             select_by_xent(lm, lm, corpus, keep=5)
 
+    @pytest.mark.parametrize("keep", [0.0, 1.5, -0.5])
+    def test_fraction_outside_unit_interval_rejected(self, keep):
+        corpus = [("a", "b")] * 4
+        lm = train_lm(corpus)
+        with pytest.raises(LmError, match=f"keep={keep} is not a fraction"):
+            select_by_xent(lm, lm, corpus, keep=keep)
+
     def test_scores_are_finite_and_indexed(self):
         corpus = [("a", "b"), ("x", "y")]
         lm = train_lm([("a", "b")] * 5)

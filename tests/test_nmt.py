@@ -26,15 +26,18 @@ from apeforge.nmt import (
     train,
 )
 from apeforge.nmt.model import (
+    _GruStep,
     backward_batch,
     batch_loss,
     forward_batch,
     loss_and_grads,
     pad_batch,
+    param_shapes,
     target_batch,
 )
 
 from conftest import copy_task_pairs
+from helpers import gru_step_reference
 
 
 def tiny_model(seed=3, e=7, h=5):
@@ -91,6 +94,52 @@ class TestGradientCheck:
         assert worst[0].rel_error >= worst[1].rel_error >= worst[2].rel_error
 
 
+class TestFusedGru:
+    """The fused GRU step against the per-gate reference kernel."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("prefix, in_dim", [("enc_b", 7), ("dec", 7 + 10)])
+    def test_matches_per_gate_reference(self, prefix, in_dim, seed):
+        h, rows = 5, 6
+        model, _, _ = tiny_model(seed=seed, e=7, h=h)
+        p = model.params
+        rng = np.random.default_rng(seed)
+        for name in ("W", "b", "Uzr", "Uh"):  # unit scale reaches saturated gates
+            p[f"{prefix}_{name}"] = rng.normal(size=p[f"{prefix}_{name}"].shape)
+        x = rng.normal(size=(rows, in_dim))
+        h_prev = rng.normal(size=(rows, h))
+        m = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        dh = rng.normal(size=(rows, h))
+
+        gates = {}
+        for k, g in enumerate("zrh"):
+            gates[f"{prefix}_W{g}"] = p[f"{prefix}_W"][k * h : (k + 1) * h]
+            gates[f"{prefix}_b{g}"] = p[f"{prefix}_b"][k * h : (k + 1) * h]
+        gates[f"{prefix}_Uz"], gates[f"{prefix}_Ur"] = np.split(p[f"{prefix}_Uzr"], 2)
+        gates[f"{prefix}_Uh"] = p[f"{prefix}_Uh"]
+        ref_h, ref_dx, ref_dh_prev, ref = gru_step_reference(gates, prefix, x, h_prev, m, dh)
+
+        step = _GruStep(p, prefix, x, h_prev, m)
+        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        dx, dh_prev = step.backward(p, prefix, dh, grads)
+
+        def close(actual, expected):
+            np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=0)
+
+        close(step.h, ref_h)
+        np.testing.assert_array_equal(step.h[m == 0], h_prev[m == 0])
+        close(dx, ref_dx)
+        close(dh_prev, ref_dh_prev)
+        for fused, per_gate in (
+            ("W", ("Wz", "Wr", "Wh")),
+            ("b", ("bz", "br", "bh")),
+            ("Uzr", ("Uz", "Ur")),
+            ("Uh", ("Uh",)),
+        ):
+            stacked = np.concatenate([ref[f"{prefix}_{g}"] for g in per_gate])
+            close(grads[f"{prefix}_{fused}"], stacked)
+
+
 class TestBatching:
     def test_batched_loss_is_token_weighted_mean(self):
         model, sv, tv = tiny_model(seed=5)
@@ -142,9 +191,10 @@ class TestBatching:
 class TestForward:
     def test_distribution_normalized(self):
         model, sv, tv = tiny_model()
-        logp, alpha = forward(model, [sv.id("a"), sv.id("b")], [tv.id("x")], debug=True)
+        logp, alpha = forward(model, [sv.id("a"), sv.id("b")], [tv.id("x")])
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-6)
         assert logp.shape == (len(tv),)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_attention_normalized(self):
         model, sv, tv = tiny_model()
@@ -387,14 +437,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="m.bin: .* not valid UTF-8"):
             load(path)
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_unsupported_version(self, tmp_path, version):
         model, _, _ = tiny_model()
         path = tmp_path / "m.bin"
         save(model, path)
         raw = bytearray(path.read_bytes())
-        raw[8:12] = (99).to_bytes(4, "little")
+        raw[8:12] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=f"unsupported format version {version}$"):
             load(path)
 
     def test_dimension_mismatch(self, tmp_path):
@@ -413,16 +464,18 @@ class TestCheckpoint:
 
     def test_wrong_tensor_shape_rejected(self, tmp_path):
         model, _, _ = tiny_model(e=7, h=5)
-        model.params["dec_Wz"] = np.zeros((5, 7 + 10 + 1))
+        model.params["dec_W"] = np.zeros((3 * 5, 7 + 10 + 1))
         save(model, tmp_path / "m.bin")
-        with pytest.raises(CheckpointError, match="dec_Wz"):
+        with pytest.raises(
+            CheckpointError, match=r"tensor dec_W has shape \(15, 18\), expected \(15, 17\)"
+        ):
             load(tmp_path / "m.bin")
 
     def test_missing_tensor_rejected(self, tmp_path):
         model, _, _ = tiny_model()
-        del model.params["enc_f_Wz"]
+        del model.params["enc_f_Uzr"]
         save(model, tmp_path / "m.bin")
-        with pytest.raises(CheckpointError, match="missing tensor enc_f_Wz"):
+        with pytest.raises(CheckpointError, match="missing tensor enc_f_Uzr"):
             load(tmp_path / "m.bin")
 
     def test_unexpected_tensor_rejected(self, tmp_path):
@@ -456,11 +509,14 @@ class TestModelInit:
         assert p["tgt_emb"].shape == (len(tv), 7)
         assert p["out_W"].shape == (len(tv), 5 + 10 + 7)
         assert p["out_b"].shape == (len(tv),)
-        assert p["dec_Wz"].shape == (5, 7 + 10)
-        assert p["enc_f_Wh"].shape == (5, 7)
+        assert p["dec_W"].shape == (3 * 5, 7 + 10)
+        assert p["dec_b"].shape == (3 * 5,)
+        assert p["enc_f_W"].shape == (3 * 5, 7)
+        assert p["enc_f_Uzr"].shape == (2 * 5, 5)
         assert p["enc_b_Uh"].shape == (5, 5)
         assert p["init_W"].shape == (5, 10)
         assert p["att_U"].shape == (5, 10)
+        assert len(p) == len(param_shapes(len(sv), len(tv), 7, 5)) == 22
 
     def test_all_parameters_finite_and_bounded(self):
         model, _, _ = tiny_model(seed=77)

@@ -188,16 +188,17 @@ def _toy_copy_setup(seed, iterations):
         seq = [vocab.id(alphabet[int(rng.integers(0, 12))]) for _ in range(n)]
         pairs.append((seq, list(seq)))
     model = init_model(vocab, vocab, embedding_dim=16, hidden_dim=16, seed=seed)
-    cfg = TrainConfig(
-        batch_size=6,
-        epochs=60,
-        shuffle_seed=2,
-        checkpoint_every=10**9,
-        max_iterations=iterations,
-    )
-    result = train(model, pairs, cfg)
+    if iterations:  # a TrainConfig takes max_iterations >= 1
+        cfg = TrainConfig(
+            batch_size=6,
+            epochs=60,
+            shuffle_seed=2,
+            checkpoint_every=10**9,
+            max_iterations=iterations,
+        )
+        model = train(model, pairs, cfg).model
     mono = [vocab.words(s) for s, _ in pairs[:20]]
-    return vocab, mono, result.model
+    return vocab, mono, model
 
 
 class TestRoundtripGenerate:
