@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +51,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {least}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be > 0 and < 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be > 0 and finite")
         if not self.clip_norm >= 0.0:
             raise ValueError("clip_norm must be >= 0")
 

@@ -403,7 +403,8 @@ class TestNmtCommands:
             ("rho 1.5", "rho must be > 0 and < 1"),
             ("rho 0", "rho must be > 0 and < 1"),
             ("rho nan", "rho must be > 0 and < 1"),
-            ("epsilon 0", "epsilon must be > 0"),
+            ("epsilon 0", "epsilon must be > 0 and finite"),
+            ("epsilon inf", "epsilon must be > 0 and finite"),
             ("clip_norm -1", "clip_norm must be >= 0"),
             ("init_seed -1", "init_seed must be >= 0"),
             ("embedding_dim 0", "embedding_dim must be >= 1"),
