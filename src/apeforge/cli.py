@@ -44,7 +44,7 @@ from .ngram_lm import (
     train_lm,
     write_arpa,
 )
-from .nmt import gradient_check, init_model, read_train_config, train
+from .nmt import DivergenceError, gradient_check, init_model, read_train_config, train
 from .nmt import checkpoint as ckpt
 from .pipeline import (
     NoiseSpec,
@@ -215,10 +215,10 @@ def lm():
 @lm.command("train")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--order", default=3, show_default=True, type=int)
+@click.option("--order", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option(
     "--sample-tokens",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
     help="Subsample the corpus to about this many tokens before training, "
     "to equalize sizes between models.",
@@ -372,7 +372,10 @@ def nmt_train(src_path, tgt_path, config_path, out_dir):
         (src_vocab.ids(s), tgt_vocab.ids(t))
         for s, t in zip(src_corpus, tgt_corpus)
     ]
-    result = train(model, pairs, cfg, out_dir=out_dir)
+    try:
+        result = train(model, pairs, cfg, out_dir=out_dir)
+    except DivergenceError as exc:
+        raise click.ClickException(f"{config_path}: training diverged: {exc}") from exc
     final = result.log[-1].train_loss if result.log else float("nan")
     click.echo(
         f"trained {result.iterations} iterations, final loss {final:.4f}, "

@@ -3,10 +3,10 @@
 TER here is the classic greedy-shift formulation: repeatedly apply the block
 shift that most reduces the word-level edit distance, at unit cost per shift,
 then combine the shift count with the residual insertion/deletion/substitution
-counts. Scores are percentages of the reference length. Candidate shifts
-are scored with bit-parallel Levenshtein, resumed from the DP state of the
-prefix each candidate shares with the current hypothesis; the traceback DP
-runs only for the decomposition of each accepted arrangement.
+counts. Scores are percentages of the reference length. One bit-parallel
+Levenshtein DP over the reference's word masks does all of it: its column
+after each prefix of an arrangement gives the traceback, and each candidate
+shift resumes from the column of the prefix it shares with the arrangement.
 """
 
 from __future__ import annotations
@@ -60,46 +60,73 @@ class TerAlignment:
         return self.insertions + self.deletions + self.substitutions + self.shifts
 
 
-def _align(hyp: Sequence[str], ref: Sequence[str]) -> list[str]:
-    """Full DP with traceback; returns the op sequence of one optimal path.
+def _match_masks(ref: Sequence[str]) -> dict[str, int]:
+    """Each reference word mapped to the bitmask of its positions."""
+    peq: dict[str, int] = {}
+    for j, word in enumerate(ref):
+        peq[word] = peq.get(word, 0) | (1 << j)
+    return peq
+
+
+def _advance(peq: dict, mask: int, state, tokens):
+    """Bit-parallel Levenshtein (Myers 1999, global form of Hyyrö 2001).
+
+    state = (vp, vn) is the DP column over the reference after some
+    hypothesis prefix: bit j of vp/vn is set where D[i][j+1] exceeds/undercuts
+    D[i][j] by one (bits at and above len(ref) in vn are ignored). Returns
+    the column after further scanning `tokens`.
+    """
+    vp, vn = state
+    for tok in tokens:
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        # The top row is D[i][0] = i, so a +1 horizontal delta enters at bit 0.
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | ~(hp | d0)) & mask
+    return vp, vn
+
+
+def _dist(cols, i: int, j: int) -> int:
+    """D[i][j]: distance from the first i hypothesis words to ref[:j]."""
+    vp, vn = cols[i]
+    low = (1 << j) - 1
+    return i + (vp & low).bit_count() - (vn & low).bit_count()
+
+
+def _align(hyp: Sequence[str], ref: Sequence[str], peq: dict[str, int]):
+    """Op sequence of one optimal path, and the DP column after each prefix
+    of hyp (cols[i] after hyp[:i]).
 
     Ops are 'eq', 'sub', 'ins' (ref token added to hyp), 'del' (hyp token
     dropped). Ties prefer diagonal moves, then insertions, then deletions,
     which pins a single deterministic decomposition.
     """
-    n, m = len(hyp), len(ref)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dp[i][0] = i
-    for j in range(1, m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        row = dp[i]
-        prev_row = dp[i - 1]
-        h = hyp[i - 1]
-        for j in range(1, m + 1):
-            diag = prev_row[j - 1] + (0 if h == ref[j - 1] else 1)
-            ins = row[j - 1] + 1
-            dele = prev_row[j] + 1
-            row[j] = min(diag, ins, dele)
+    mask = (1 << len(ref)) - 1
+    cols = [(mask, 0)]
+    for tok in hyp:
+        cols.append(_advance(peq, mask, cols[-1], (tok,)))
     ops: list[str] = []
-    i, j = n, m
+    i, j = len(hyp), len(ref)
     while i > 0 or j > 0:
+        d = _dist(cols, i, j)
         if i > 0 and j > 0:
-            diag = dp[i - 1][j - 1] + (0 if hyp[i - 1] == ref[j - 1] else 1)
-            if dp[i][j] == diag:
-                ops.append("eq" if hyp[i - 1] == ref[j - 1] else "sub")
+            same = hyp[i - 1] == ref[j - 1]
+            if d == _dist(cols, i - 1, j - 1) + (not same):
+                ops.append("eq" if same else "sub")
                 i -= 1
                 j -= 1
                 continue
-        if j > 0 and dp[i][j] == dp[i][j - 1] + 1:
+        if j > 0 and d == _dist(cols, i, j - 1) + 1:
             ops.append("ins")
             j -= 1
             continue
         ops.append("del")
         i -= 1
     ops.reverse()
-    return ops
+    return ops, cols
 
 
 def _counts_from_ops(ops: Sequence[str]) -> EditCounts:
@@ -114,54 +141,46 @@ def _counts_from_ops(ops: Sequence[str]) -> EditCounts:
 
 def edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> EditCounts:
     """Word-level Levenshtein distance with decomposed edit counts."""
-    return _counts_from_ops(_align(hyp, ref))
+    return _counts_from_ops(_align(hyp, ref, _match_masks(ref))[0])
 
 
-def _hyp_misalignment(ops: Sequence[str]) -> list[bool]:
-    """Per-hypothesis-token flag: True unless matched exactly in the traceback."""
-    flags = []
-    for op in ops:
-        if op == "eq":
-            flags.append(False)
-        elif op in ("sub", "del"):
-            flags.append(True)
-        # 'ins' consumes no hypothesis token
-    return flags
-
-
-def _ref_spans(ref: Sequence[str]) -> set[tuple[str, ...]]:
-    spans = set()
-    m = len(ref)
-    for i in range(m):
-        for j in range(i + 1, min(i + MAX_BLOCK, m) + 1):
-            spans.add(tuple(ref[i:j]))
-    return spans
-
-
-def _advance(peq: dict, mask: int, high: int, state, tokens):
-    """Bit-parallel Levenshtein (Myers 1999, global form of Hyyrö 2001).
-
-    state = (vp, vn, cost) is one DP column over the reference: bit i of
-    vp/vn is set where cell i+1 exceeds/undercuts cell i by one, and cost is
-    the distance from the hypothesis tokens scanned so far to the whole
-    reference. peq maps each reference word to the bitmask of its positions.
-    Returns the state after scanning `tokens`.
-    """
-    vp, vn, cost = state
-    for tok in tokens:
-        eq = peq.get(tok, 0)
-        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
-        hp = vn | ~(d0 | vp)
-        hn = vp & d0
-        if hp & high:
-            cost += 1
-        elif hn & high:
-            cost -= 1
-        # The top row is D[0][j] = j, so a +1 horizontal delta enters at bit 0.
-        hp = (hp << 1) | 1
-        vn = hp & d0
-        vp = ((hn << 1) | ~(hp | d0)) & mask
-    return vp, vn, cost
+def _best_shift(cur, ref, peq, ops, cols):
+    """The shift (start, length, dest) with the largest residual-cost gain,
+    first in (start, length, dest) order on ties; None if none gains."""
+    n, mask = len(cur), (1 << len(ref)) - 1
+    cost = _dist(cols, n, len(ref))
+    # True per hypothesis word unless matched exactly ('ins' consumes none)
+    mis = [op != "eq" for op in ops if op != "ins"]
+    best, best_gain = None, 0
+    for start in range(n):
+        starts = mask  # reference positions where the block so far begins
+        any_mis = False
+        for length in range(1, min(MAX_BLOCK, n - start) + 1):
+            starts &= peq.get(cur[start + length - 1], 0) >> (length - 1)
+            if not starts:
+                break  # no reference span holds the block, nor any extension
+            any_mis = any_mis or mis[start + length - 1]
+            if not any_mis:
+                continue
+            block = cur[start : start + length]
+            after = cur[start + length :]
+            # A candidate equals cur up to min(start, dest), so only its
+            # tail from there on is scanned.
+            for dest in range(n - length + 1):
+                if dest < start:
+                    col, tail = cols[dest], block + cur[dest:start] + after
+                elif dest > start:
+                    k = dest - start
+                    col, tail = cols[start], after[:k] + block + after[k:]
+                else:
+                    continue
+                vp, vn = _advance(peq, mask, col, tail)
+                gain = cost - (n + vp.bit_count() - (vn & mask).bit_count())
+                if gain > best_gain:
+                    best, best_gain = (start, length, dest), gain
+                    if gain == cost:
+                        return best  # residual hit zero, cannot improve
+    return best
 
 
 def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
@@ -177,98 +196,36 @@ def ter(hyp: Sequence[str], ref: Sequence[str]) -> TerAlignment:
     An empty reference with a non-empty hypothesis yields the degenerate score
     100 * len(hyp) with the `degenerate` flag set.
     """
-    hyp = list(hyp)
+    cur = list(hyp)
     ref = list(ref)
     if not ref:
         return TerAlignment(
             insertions=0,
-            deletions=len(hyp),
+            deletions=len(cur),
             substitutions=0,
             shifts=0,
             ref_len=0,
-            ter=100.0 * len(hyp),
-            degenerate=bool(hyp),
+            ter=100.0 * len(cur),
+            degenerate=bool(cur),
         )
-    if hyp == ref:
-        return TerAlignment(0, 0, 0, 0, len(ref), 0.0)
-
-    cur = hyp
-    ops = _align(cur, ref)
-    cost = sum(1 for op in ops if op != "eq")
-    shifts = 0
+    peq = _match_masks(ref)
+    ops, cols = _align(cur, ref, peq)
     trace: list[tuple[int, int, int]] = []
-
-    if cost:
-        spans = _ref_spans(ref)
-        m = len(ref)
-        peq: dict[str, int] = {}
-        for i, word in enumerate(ref):
-            peq[word] = peq.get(word, 0) | (1 << i)
-        mask = (1 << m) - 1
-        high = 1 << (m - 1)
-        while True:
-            mis = _hyp_misalignment(ops)
-            n = len(cur)
-            # DP state after each prefix of cur, extended as blocks need it
-            prefix = [(mask, 0, m)]
-            best = None  # (gain, start, length, dest)
-            done = False
-            for start in range(n):
-                if done:
-                    break
-                any_mis = False
-                limit = min(MAX_BLOCK, n - start)
-                for length in range(1, limit + 1):
-                    block = cur[start : start + length]
-                    if tuple(block) not in spans:
-                        # prefix closure: longer blocks from here can't match
-                        break
-                    any_mis = any_mis or mis[start + length - 1]
-                    if not any_mis:
-                        continue
-                    while len(prefix) <= start:
-                        p = len(prefix)
-                        prefix.append(_advance(peq, mask, high, prefix[-1], cur[p - 1 : p]))
-                    after = cur[start + length :]
-                    # A candidate equals cur up to min(start, dest), so only
-                    # its tail from there on is scanned.
-                    for dest in range(n - length + 1):
-                        if dest < start:
-                            state, tail = prefix[dest], block + cur[dest:start] + after
-                        elif dest > start:
-                            k = dest - start
-                            state, tail = prefix[start], after[:k] + block + after[k:]
-                        else:
-                            continue
-                        gain = cost - _advance(peq, mask, high, state, tail)[2]
-                        if gain >= 1 and (best is None or gain > best[0]):
-                            best = (gain, start, length, dest)
-                            if gain == cost:
-                                done = True  # residual hit zero, cannot improve
-                                break
-                    if done:
-                        break
-            if best is None:
-                break
-            gain, start, length, dest = best
-            shifts += 1
-            trace.append((start, length, dest))
-            rest = cur[:start] + cur[start + length :]
-            cur = rest[:dest] + cur[start : start + length] + rest[dest:]
-            cost -= gain
-            ops = _align(cur, ref)
-            if cost == 0:
-                break
+    while (shift := _best_shift(cur, ref, peq, ops, cols)) is not None:
+        trace.append(shift)
+        start, length, dest = shift
+        rest = cur[:start] + cur[start + length :]
+        cur = rest[:dest] + cur[start : start + length] + rest[dest:]
+        ops, cols = _align(cur, ref, peq)
 
     counts = _counts_from_ops(ops)
-    total = counts.cost + shifts
     return TerAlignment(
         insertions=counts.insertions,
         deletions=counts.deletions,
         substitutions=counts.substitutions,
-        shifts=shifts,
+        shifts=len(trace),
         ref_len=len(ref),
-        ter=100.0 * total / len(ref),
+        ter=100.0 * (counts.cost + len(trace)) / len(ref),
         shift_trace=tuple(trace),
     )
 

@@ -134,11 +134,9 @@ def knn_select_indices(
     selected: list[int] = []
     for ref_vec in ref_stats:
         dists = np.sqrt(((pool_mat - ref_vec) ** 2).sum(axis=1))
-        if cap < len(pool):
-            nearest = np.argpartition(dists, cap - 1)[:cap]
-        else:
-            nearest = np.arange(len(pool))
-        walk = nearest[np.lexsort((nearest, dists[nearest]))]
+        # every candidate tied with the cap-th nearest survives the cut
+        nearest = np.flatnonzero(dists <= np.partition(dists, cap - 1)[cap - 1])
+        walk = nearest[np.lexsort((nearest, dists[nearest]))][:cap]
         collected = 0
         for idx in walk:
             idx = int(idx)

@@ -96,26 +96,66 @@ def exhaustive_shift_edits(hyp, ref, max_block: int = 10) -> int:
     return best
 
 
+def align_reference(hyp, ref) -> list[str]:
+    """Full-table Levenshtein DP with traceback: the op sequence of one
+    optimal path ('eq', 'sub', 'ins' adds a ref token, 'del' drops a hyp
+    token). Ties prefer diagonal moves, then insertions, then deletions."""
+    n, m = len(hyp), len(ref)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dp[i][0] = i
+    for j in range(1, m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            dp[i][j] = min(
+                dp[i - 1][j - 1] + (hyp[i - 1] != ref[j - 1]),
+                dp[i][j - 1] + 1,
+                dp[i - 1][j] + 1,
+            )
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            same = hyp[i - 1] == ref[j - 1]
+            if dp[i][j] == dp[i - 1][j - 1] + (not same):
+                ops.append("eq" if same else "sub")
+                i -= 1
+                j -= 1
+                continue
+        if j > 0 and dp[i][j] == dp[i][j - 1] + 1:
+            ops.append("ins")
+            j -= 1
+            continue
+        ops.append("del")
+        i -= 1
+    ops.reverse()
+    return ops
+
+
+def edit_counts_reference(hyp, ref):
+    """metrics.EditCounts of the align_reference traceback."""
+    from apeforge.metrics import EditCounts
+
+    ops = align_reference(hyp, ref)
+    ins, dels, subs = (ops.count(op) for op in ("ins", "del", "sub"))
+    return EditCounts(cost=ins + dels + subs, insertions=ins, deletions=dels, substitutions=subs)
+
+
 def ter_greedy_reference(hyp, ref):
     """Greedy-shift TER that scores every candidate shift with a fresh
-    full-matrix DP over the whole candidate; the reference for metrics.ter,
-    which scores candidates bit-parallel from cached prefix states.
+    full-matrix DP over the whole candidate and tests blocks against a set
+    of reference spans; the reference for metrics.ter, which does both with
+    bit-parallel columns over the reference's word masks.
 
-    The move set, the tie-break and the final decomposition are metrics.ter's
-    own: blocks are hypothesis spans that match a reference span, hold a
-    misaligned word and are at most MAX_BLOCK long; the first strictly best
-    gain wins in (start, length, dest) order; the search stops early when a
-    shift leaves no residual edit. The traceback (`_align`) is shared with
-    the package and checked on its own against lev_matrix.
+    The move set and the tie-break are tercom's, as metrics.ter implements
+    them: blocks are hypothesis spans that match a reference span, hold a
+    word the align_reference traceback does not match exactly and are at
+    most MAX_BLOCK long; the first strictly best gain wins in (start,
+    length, dest) order; the search stops early when a shift leaves no
+    residual edit.
     """
-    from apeforge.metrics import (
-        MAX_BLOCK,
-        TerAlignment,
-        _align,
-        _counts_from_ops,
-        _hyp_misalignment,
-        _ref_spans,
-    )
+    from apeforge.metrics import MAX_BLOCK, TerAlignment
 
     hyp = list(hyp)
     ref = list(ref)
@@ -129,63 +169,57 @@ def ter_greedy_reference(hyp, ref):
             ter=100.0 * len(hyp),
             degenerate=bool(hyp),
         )
-    if hyp == ref:
-        return TerAlignment(0, 0, 0, 0, len(ref), 0.0)
-
+    spans = {
+        tuple(ref[i:j])
+        for i in range(len(ref))
+        for j in range(i + 1, min(i + MAX_BLOCK, len(ref)) + 1)
+    }
     cur = hyp
-    ops = _align(cur, ref)
-    cost = sum(1 for op in ops if op != "eq")
-    shifts = 0
+    cost = lev_matrix(cur, ref)
     trace = []
-    if cost:
-        spans = _ref_spans(ref)
-        while True:
-            mis = _hyp_misalignment(ops)
-            n = len(cur)
-            best = None  # (gain, start, length, dest, candidate)
-            done = False
-            for start in range(n):
+    while cost:
+        mis = [op != "eq" for op in align_reference(cur, ref) if op != "ins"]
+        n = len(cur)
+        best = None  # (gain, start, length, dest, candidate)
+        done = False
+        for start in range(n):
+            if done:
+                break
+            any_mis = False
+            for length in range(1, min(MAX_BLOCK, n - start) + 1):
+                block = tuple(cur[start : start + length])
+                if block not in spans:
+                    break
+                any_mis = any_mis or mis[start + length - 1]
+                if not any_mis:
+                    continue
+                rest = cur[:start] + cur[start + length :]
+                for dest in range(len(rest) + 1):
+                    if dest == start:
+                        continue
+                    cand = rest[:dest] + list(block) + rest[dest:]
+                    gain = cost - lev_matrix(cand, ref)
+                    if gain >= 1 and (best is None or gain > best[0]):
+                        best = (gain, start, length, dest, cand)
+                        if gain == cost:
+                            done = True
+                            break
                 if done:
                     break
-                any_mis = False
-                for length in range(1, min(MAX_BLOCK, n - start) + 1):
-                    block = tuple(cur[start : start + length])
-                    if block not in spans:
-                        break
-                    any_mis = any_mis or mis[start + length - 1]
-                    if not any_mis:
-                        continue
-                    rest = cur[:start] + cur[start + length :]
-                    for dest in range(len(rest) + 1):
-                        if dest == start:
-                            continue
-                        cand = rest[:dest] + list(block) + rest[dest:]
-                        gain = cost - lev_matrix(cand, ref)
-                        if gain >= 1 and (best is None or gain > best[0]):
-                            best = (gain, start, length, dest, cand)
-                            if gain == cost:
-                                done = True
-                                break
-                    if done:
-                        break
-            if best is None:
-                break
-            shifts += 1
-            trace.append((best[1], best[2], best[3]))
-            cur = best[4]
-            cost -= best[0]
-            ops = _align(cur, ref)
-            if cost == 0:
-                break
+        if best is None:
+            break
+        trace.append((best[1], best[2], best[3]))
+        cur = best[4]
+        cost -= best[0]
 
-    counts = _counts_from_ops(ops)
+    counts = edit_counts_reference(cur, ref)
     return TerAlignment(
         insertions=counts.insertions,
         deletions=counts.deletions,
         substitutions=counts.substitutions,
-        shifts=shifts,
+        shifts=len(trace),
         ref_len=len(ref),
-        ter=100.0 * (counts.cost + shifts) / len(ref),
+        ter=100.0 * (counts.cost + len(trace)) / len(ref),
         shift_trace=tuple(trace),
     )
 

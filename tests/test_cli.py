@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from apeforge.cli import cli
 from apeforge.corpus import Triplet, read_sentences, read_triplets, write_triplets
 from apeforge.decoder import read_nbest
+from apeforge.nmt import DivergenceError
 from apeforge.nmt import checkpoint as ckpt
 from apeforge.pipeline import MANIFEST_NAME
 
@@ -371,6 +372,32 @@ class TestNmtCommands:
         assert result.exit_code == 1
         assert not isinstance(result.exception, ValueError)
         assert f"{cfg}: line 2: bad value 'ten' for key 'epochs'" in result.output
+
+    def test_divergence_is_one_error_line(self, runner, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite loss at iteration 1 (epoch 1, batch 1)")
+
+        monkeypatch.setattr("apeforge.cli.train", diverge)
+        for name in ("src.txt", "tgt.txt"):
+            write(tmp_path / name, ["a b"])
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch_size 1\n")
+        result = runner.invoke(
+            cli,
+            [
+                "nmt", "train",
+                "--src", str(tmp_path / "src.txt"),
+                "--tgt", str(tmp_path / "tgt.txt"),
+                "--config", str(cfg),
+                "--out", str(tmp_path / "out"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"Error: {cfg}: training diverged: "
+            "non-finite loss at iteration 1 (epoch 1, batch 1)\n"
+        )
 
     def test_out_of_range_config_value_fails(self, runner, tmp_path):
         for name in ("src.txt", "tgt.txt"):
@@ -1006,6 +1033,8 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("tune", ["--seed", "-1"], "'--seed'"),
         ("synth corrupt", ["--seed", "-1"], "'--seed'"),
         ("lm train", ["--sample-tokens", "4", "--sample-seed", "-1"], "'--sample-seed'"),
+        ("lm train", ["--sample-tokens", "-5"], "'--sample-tokens'"),
+        ("lm train", ["--order", "0"], "'--order'"),
         ("select xent", ["--keep", "abc"], "'abc'"),
         ("select xent", ["--keep", "1.5"], "'1.5'"),
         ("select xent", ["--keep", "0.0"], "'0.0'"),

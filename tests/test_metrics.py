@@ -1,6 +1,8 @@
 """Tests for TER, edit-distance decomposition, and corpus BLEU."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from apeforge.metrics import (
 )
 from apeforge.pipeline import NoiseSpec, synth_corrupt
 from apeforge.triplet_select import STAT_COMPONENTS, stat_vector
-from helpers import exhaustive_shift_edits, lev_matrix, lev_recursive, ter_greedy_reference
+from helpers import (
+    edit_counts_reference,
+    exhaustive_shift_edits,
+    lev_matrix,
+    lev_recursive,
+    ter_greedy_reference,
+)
 
 TOKENS = st.sampled_from(["a", "b", "c", "d"])
 SENT = st.lists(TOKENS, min_size=0, max_size=6)
@@ -63,6 +71,13 @@ class TestEditDistance:
     @given(SENT, SENT)
     def test_cost_symmetry(self, hyp, ref):
         assert edit_distance(hyp, ref).cost == edit_distance(ref, hyp).cost
+
+    @given(SENT, SENT)
+    @settings(max_examples=300)
+    def test_counts_match_table_traceback(self, hyp, ref):
+        # the ins/del/sub split, not just the cost, follows the table DP's
+        # diagonal -> insertion -> deletion tie order
+        assert edit_distance(hyp, ref) == edit_counts_reference(hyp, ref)
 
 
 class TestTer:
@@ -180,8 +195,9 @@ SMALL_ALPHABET_PAIR = st.integers(3, 4).flatmap(
 
 
 class TestTerMatchesGreedyReference:
-    """ter scores shifts bit-parallel from cached prefix states; the result,
-    shift trace included, must equal the plain greedy search's."""
+    """ter tests blocks, scores shifts and traces back with one bit-parallel
+    DP; the result, shift trace included, must equal the plain greedy
+    search's, which uses span sets and full-table DPs."""
 
     @given(SMALL_ALPHABET_PAIR)
     @settings(max_examples=300, deadline=None)
@@ -228,6 +244,31 @@ class TestTerMatchesGreedyReference:
         a = ter(hyp, ref)
         assert a == ter_greedy_reference(hyp, ref)
         assert a.shift_trace == ((0, MAX_BLOCK, MAX_BLOCK),)
+
+
+def test_oracles_use_no_private_package_names():
+    """tests/helpers.py checks the package from first principles, so it may
+    import only public apeforge names."""
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("apeforge"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            modules |= {
+                (a.asname or a.name).split(".")[0]
+                for a in node.names
+                if a.name.startswith("apeforge")
+            }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                private.append(node.attr)
+    assert private == []
 
 
 class TestTripletStats:

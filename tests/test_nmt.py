@@ -12,6 +12,7 @@ import pytest
 from apeforge.corpus import Vocab
 from apeforge.decoder import NmtScorer, ScorerBinding, decode, exact_accuracy
 from apeforge.nmt import (
+    Adadelta,
     CheckpointError,
     DecodeState,
     DivergenceError,
@@ -35,6 +36,7 @@ from apeforge.nmt.model import (
     param_shapes,
     target_batch,
 )
+from apeforge.nmt.training import clip_gradients
 
 from conftest import copy_task_pairs
 from helpers import gru_step_reference
@@ -372,6 +374,42 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(max_sentence_length=1)
+
+
+class TestOptimizer:
+    @staticmethod
+    def _grads():
+        # global L2 norm sqrt(9 + 16 + 144) = 13
+        return {"a": np.array([3.0, 4.0]), "b": np.array([[12.0]])}
+
+    def test_adadelta_step_matches_closed_form(self):
+        rho, eps = 0.95, 1e-6
+        params = {"a": np.array([0.5, -1.0]), "b": np.array([[2.0]])}
+        start = {k: v.copy() for k, v in params.items()}
+        grads = self._grads()
+        opt = Adadelta(params, rho=rho, epsilon=eps)
+        opt.step(params, grads)
+        for name, g in grads.items():
+            # from zero accumulators: E[g^2] = (1 - rho) g^2, and the step is
+            # -sqrt(eps / (E[g^2] + eps)) g, whose square feeds E[dx^2]
+            acc_grad = (1 - rho) * g * g
+            delta = -np.sqrt(eps / (acc_grad + eps)) * g
+            np.testing.assert_allclose(params[name], start[name] + delta, rtol=1e-12)
+            np.testing.assert_allclose(opt.acc_grad[name], acc_grad, rtol=1e-12)
+            np.testing.assert_allclose(opt.acc_delta[name], (1 - rho) * delta**2, rtol=1e-12)
+
+    def test_clip_scales_to_max_norm_and_returns_the_norm_before(self):
+        grads = self._grads()
+        assert clip_gradients(grads, 6.5) == pytest.approx(13.0)
+        np.testing.assert_allclose(grads["a"], [1.5, 2.0])
+        np.testing.assert_allclose(grads["b"], [[6.0]])
+
+    @pytest.mark.parametrize("max_norm", [13.0, 20.0, 0.0])
+    def test_clip_leaves_gradients_within_the_norm_or_at_zero(self, max_norm):
+        grads = self._grads()
+        assert clip_gradients(grads, max_norm) == pytest.approx(13.0)
+        for name, g in self._grads().items():
+            np.testing.assert_array_equal(grads[name], g)
 
 
 class TestCheckpoint:

@@ -135,6 +135,13 @@ class TestKnnSelect:
         # third reference examines the two nearest (both taken) and gives up
         assert idx == [0, 1]
 
+    def test_ties_at_the_cap_go_to_smaller_pool_index(self):
+        # eight candidates tie at the cap; the walk keeps the first by index
+        reference = [_ident(5)]
+        pool = [_ident(6, f"t{k}") for k in range(8)] + [_ident(5)]
+        cfg = SelectionConfig(n=3, traversal_cap=3)
+        assert knn_select_indices(pool, reference, cfg) == [8, 0, 1]
+
     def test_size_bounds_and_uniqueness(self):
         rng = np.random.default_rng(17)
         pool = [_subbed(int(rng.integers(3, 15)), int(rng.integers(0, 3)))
