@@ -1033,11 +1033,11 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("tune", ["--seed", "-1"], "'--seed'"),
         ("synth corrupt", ["--seed", "-1"], "'--seed'"),
         ("lm train", ["--sample-tokens", "4", "--sample-seed", "-1"], "'--sample-seed'"),
-        ("lm train", ["--sample-tokens", "-5"], "'--sample-tokens'"),
-        ("lm train", ["--order", "0"], "'--order'"),
         ("select xent", ["--keep", "abc"], "'abc'"),
         ("select xent", ["--keep", "1.5"], "'1.5'"),
         ("select xent", ["--keep", "0.0"], "'0.0'"),
+        ("lm train", ["--sample-tokens", "-5"], "'--sample-tokens'"),
+        ("lm train", ["--order", "0"], "'--order'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(
