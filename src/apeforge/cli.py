@@ -20,6 +20,7 @@ from .corpus import (
     Vocab,
     mix as mix_corpora,
     read_mix_spec,
+    read_parallel,
     read_sentences,
     read_triplets,
     wellformed_filter,
@@ -27,9 +28,7 @@ from .corpus import (
     write_triplets,
 )
 from .decoder import (
-    AssemblyError,
     Ensemble,
-    NBestParseError,
     decode as beam_decode,
     parse_decoder_config,
     reweight,
@@ -37,7 +36,6 @@ from .decoder import (
 )
 from .metrics import bleu, corpus_ter, ter
 from .ngram_lm import (
-    LmError,
     corpus_cross_entropy,
     read_arpa,
     select_by_xent,
@@ -48,7 +46,6 @@ from .nmt import DivergenceError, gradient_check, init_model, read_train_config,
 from .nmt import checkpoint as ckpt
 from .pipeline import (
     NoiseSpec,
-    PipelineConfigError,
     parse_config as parse_pipeline,
     read_confusion,
     roundtrip_generate,
@@ -56,7 +53,7 @@ from .pipeline import (
     synth_corrupt,
 )
 from .report import evaluate_systems, format_table, format_tsv
-from .subword import SubwordError, apply_bpe, learn_bpe, load_model, revert_bpe, save_model
+from .subword import apply_bpe, learn_bpe, load_model, revert_bpe, save_model
 from .triplet_select import (
     SelectionConfig,
     knn_select,
@@ -65,21 +62,14 @@ from .triplet_select import (
 )
 from .tuner import TuneConfig, read_weights, tune, write_weights
 
-# Named errors for bad input files; each message names the file.
-_INPUT_ERRORS = (
-    CorpusError, AssemblyError, NBestParseError, ckpt.CheckpointError, PipelineConfigError,
-    LmError, SubwordError,
-)
-
-
 class _Commands(click.Group):
-    """Reports a named input error as one `Error: <message>` line and exit
-    status 1, instead of a traceback."""
+    """Reports an input the toolkit cannot use (any CorpusError) as one
+    `Error: <message>` line and exit status 1, instead of a traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except _INPUT_ERRORS as exc:
+        except CorpusError as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -180,15 +170,7 @@ def eval_cmd(metric, hyp_path, ref_path, per_sentence):
     Corpus mode prints one number. Per-sentence mode (TER only) prints
     `index<TAB>score<TAB>ins,del,sub,shift` per line.
     """
-    hyps = read_sentences(hyp_path)
-    refs = read_sentences(ref_path)
-    for path, sentences in ((hyp_path, hyps), (ref_path, refs)):
-        if not sentences:
-            raise click.ClickException(f"{path}: no sentences")
-    if len(hyps) != len(refs):
-        raise click.ClickException(
-            f"{len(hyps)} hypotheses vs {len(refs)} references"
-        )
+    hyps, refs = read_parallel(hyp_path, ref_path)
     if per_sentence:
         if metric != "ter":
             raise click.UsageError("--per-sentence requires --metric ter")
@@ -324,9 +306,6 @@ def select_ter(
         raise click.UsageError(str(exc))
     pool = read_triplets(pool_prefix)
     reference = read_triplets(ref_prefix)
-    for prefix, triplets in ((pool_prefix, pool), (ref_prefix, reference)):
-        if not triplets:
-            raise click.ClickException(f"{prefix}: no triplets")
     filtered = outlier_filter(pool, reference, margin=margin)
     if not filtered:
         raise click.ClickException(
@@ -359,12 +338,7 @@ def nmt():
 def nmt_train(src_path, tgt_path, config_path, out_dir):
     """Train on parallel line-aligned files; writes model.bin in --out."""
     model_kw, cfg = read_train_config(config_path)
-    src_corpus = read_sentences(src_path)
-    tgt_corpus = read_sentences(tgt_path)
-    if len(src_corpus) != len(tgt_corpus):
-        raise click.ClickException(
-            f"{len(src_corpus)} source vs {len(tgt_corpus)} target lines"
-        )
+    src_corpus, tgt_corpus = read_parallel(src_path, tgt_path)
     src_vocab = Vocab.from_corpus(src_corpus)
     tgt_vocab = Vocab.from_corpus(tgt_corpus)
     model = init_model(src_vocab, tgt_vocab, **model_kw)
@@ -437,23 +411,17 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     )
     weights = read_weights(weights_path) if weights_path is not None else {}
     ensemble = Ensemble(config)
-    mt_corpus = read_sentences(mt_path)
-    src_corpus = None
-    if src_path is not None:
-        src_corpus = read_sentences(src_path)
-        if len(src_corpus) != len(mt_corpus):
-            raise click.ClickException(
-                f"{len(mt_corpus)} mt vs {len(src_corpus)} src lines"
-            )
-    elif ensemble.needs_src():
+    if src_path is None and ensemble.needs_src():
         raise click.UsageError("config references src input but --src not given")
+    paths = [mt_path] if src_path is None else [mt_path, src_path]
+    mt_corpus, *src_side = read_parallel(*paths)
+    src_corpus = src_side[0] if src_side else [()] * len(mt_corpus)
 
     width = beam if beam is not None else nbest
     width = max(width, nbest)
     lists = []
     truncated = 0
-    for i, mt in enumerate(mt_corpus):
-        src = src_corpus[i] if src_corpus is not None else ()
+    for i, (mt, src) in enumerate(zip(mt_corpus, src_corpus)):
         bindings, pep = reweight(*ensemble.bindings_for(mt, src), weights)
         nb = beam_decode(bindings, pep=pep, beam=width, sentence_id=i)
         truncated += nb.truncated
@@ -515,25 +483,16 @@ def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, se
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def report_cmd(ref_path, mt_path, systems, tsv, out_path):
     """Score table of systems against the reference, baseline included."""
-    refs = read_sentences(ref_path)
-
-    def read_aligned(path):
-        lines = read_sentences(path)
-        if len(lines) != len(refs):
-            raise click.ClickException(
-                f"{path}: {len(lines)} lines vs {len(refs)} in {ref_path}"
-            )
-        return lines
-
-    table = {}
+    system_paths = {}
     for item in systems:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
             raise click.UsageError(f"--system expects name=FILE, got {item!r}")
-        if name in table:
+        if name in system_paths:
             raise click.UsageError(f"duplicate system name {name!r}")
-        table[name] = read_aligned(path)
-    rows = evaluate_systems(table, read_aligned(mt_path), refs)
+        system_paths[name] = path
+    refs, mt, *outputs = read_parallel(ref_path, mt_path, *system_paths.values())
+    rows = evaluate_systems(dict(zip(system_paths, outputs)), mt, refs)
     text = format_tsv(rows) if tsv else format_table(rows)
     if out_path is not None:
         Path(out_path).write_text(text, encoding="utf-8")

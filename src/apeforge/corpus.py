@@ -36,7 +36,8 @@ _EOS_PUNCTUATION = {".", "!", "?"}
 
 
 class CorpusError(Exception):
-    """Base class for corpus file problems."""
+    """An input the toolkit cannot use; the message names the file where
+    there is one."""
 
 
 class ParseError(CorpusError):
@@ -132,7 +133,7 @@ def config_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def read_sentences(path: str | Path) -> list[Sentence]:
-    """Read one sentence per line; empty lines are parse errors."""
+    """Read one sentence per line; an empty line or file is a parse error."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -140,7 +141,29 @@ def read_sentences(path: str | Path) -> list[Sentence]:
             if not toks:
                 raise ParseError(f"{path}: empty line {lineno}")
             out.append(toks)
+    if not out:
+        raise ParseError(f"{path}: no sentences")
     return out
+
+
+def read_parallel(*paths: str | Path) -> list[list[Sentence]]:
+    """Read line-aligned files, one sentence list per path.
+
+    Raises CorpusError naming the first missing file before reading any,
+    AlignmentError naming the first file whose line count differs from the
+    longest, and ParseError on an empty line or file.
+    """
+    for path in paths:
+        if not Path(path).exists():
+            raise CorpusError(f"{path}: no such file")
+    sides = [read_sentences(p) for p in paths]
+    longest = max(map(len, sides))
+    for path, side in zip(paths, sides):
+        if len(side) != longest:
+            raise AlignmentError(
+                f"{path}: {len(side)} lines, expected {longest} to match parallel files"
+            )
+    return sides
 
 
 def write_sentences(path: str | Path, corpus: Iterable[Sentence]) -> None:
@@ -155,26 +178,8 @@ def triplet_paths(prefix: str | Path) -> tuple[Path, Path, Path]:
 
 
 def read_triplets(prefix: str | Path) -> list[Triplet]:
-    """Load line-aligned .src/.mt/.pe files into triplets.
-
-    Raises CorpusError naming the first missing file before reading any,
-    AlignmentError naming the offending file when line counts differ,
-    ParseError on empty lines.
-    """
-    paths = triplet_paths(prefix)
-    for path in paths:
-        if not path.exists():
-            raise CorpusError(f"{path}: no such file")
-    sides = [read_sentences(p) for p in paths]
-    counts = [len(s) for s in sides]
-    if len(set(counts)) != 1:
-        longest = max(counts)
-        for path, n in zip(paths, counts):
-            if n != longest:
-                raise AlignmentError(
-                    f"{path}: {n} lines, expected {longest} to match parallel files"
-                )
-    return [Triplet(src=s, mt=m, pe=p) for s, m, p in zip(*sides)]
+    """Load line-aligned .src/.mt/.pe files into triplets (see read_parallel)."""
+    return [Triplet(*row) for row in zip(*read_parallel(*triplet_paths(prefix)))]
 
 
 def write_triplets(prefix: str | Path, triplets: Iterable[Triplet]) -> None:

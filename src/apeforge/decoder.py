@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Vocab, config_lines, escape, unescape
+from .corpus import CorpusError, Sentence, Vocab, config_lines, escape, unescape
 from .nmt import checkpoint as ckpt
 from .nmt.model import DecodeState, Seq2SeqModel
 
@@ -24,11 +24,11 @@ EOS = Vocab.EOS
 PEP_NAME = "pep"
 
 
-class AssemblyError(Exception):
+class AssemblyError(CorpusError):
     """Ensemble components that cannot be combined."""
 
 
-class NBestParseError(Exception):
+class NBestParseError(CorpusError):
     """Malformed n-best file line."""
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Sentence, Vocab
+from .corpus import CorpusError, Sentence, Vocab
 
 BOS = Vocab.RESERVED[Vocab.BOS]
 EOS = Vocab.RESERVED[Vocab.EOS]
@@ -29,7 +29,7 @@ UNK = Vocab.RESERVED[Vocab.UNK]
 LOG10_FLOOR = -99.0  # conventional stand-in for "never predicted"
 
 
-class LmError(Exception):
+class LmError(CorpusError):
     pass
 
 
@@ -303,11 +303,13 @@ def read_arpa(path: str | Path) -> NgramLm:
                 continue
             fields = line.split("\t")
             if len(fields) not in (2, 3):
-                raise LmError(f"{path}: malformed n-gram line: {line!r}")
+                raise LmError(f"{path}: line {lineno}: malformed n-gram {line!r}")
             lp = _arpa_number(float, fields[0], path, lineno)
             gram = tuple(fields[1].split(" "))
             if len(gram) != section:
-                raise LmError(f"{path}: {len(gram)}-gram in {section}-gram section")
+                raise LmError(
+                    f"{path}: line {lineno}: {len(gram)}-gram in {section}-gram section"
+                )
             if len(fields) == 3:
                 bows[gram] = 10.0 ** _arpa_number(float, fields[2], path, lineno)
             if gram == (BOS,) and lp <= LOG10_FLOOR + 1.0:

@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Vocab
+from ..corpus import CorpusError, Vocab
 from .model import Seq2SeqModel, param_shapes
 
 MAGIC = b"APEF-NMT"
 VERSION = 2
 
 
-class CheckpointError(Exception):
+class CheckpointError(CorpusError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
 
 

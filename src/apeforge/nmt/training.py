@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import ParseError, config_lines
+from ..corpus import CorpusError, ParseError, config_lines
 from . import checkpoint as ckpt
 from .model import (
     Seq2SeqModel,
@@ -194,8 +194,9 @@ def train(
     ]
     skipped = len(corpus) - len(kept)
     if not kept:
-        raise ValueError(
-            f"training corpus is empty after skipping {skipped} overlong pairs"
+        raise CorpusError(
+            f"training corpus is empty after skipping {skipped} overlong pairs "
+            f"(max_sentence_length {cfg.max_sentence_length})"
         )
 
     out_path = Path(out_dir) if out_dir is not None else None

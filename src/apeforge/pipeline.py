@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Sentence, Triplet, config_lines
+from .corpus import CorpusError, ParseError, Sentence, Triplet, config_lines
 from .decoder import NmtScorer, ScorerBinding, decode
 from .nmt.model import Seq2SeqModel
 
@@ -29,11 +29,11 @@ log = logging.getLogger(__name__)
 MANIFEST_NAME = "manifest.json"
 
 
-class PipelineError(Exception):
+class PipelineError(CorpusError):
     """Stage execution failure; message names the stage."""
 
 
-class PipelineConfigError(Exception):
+class PipelineConfigError(CorpusError):
     """Invalid stage graph (cycles, duplicate names or outputs, bad deps) or
     a workspace manifest that is not a JSON object of stage records."""
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Sentence
+from .corpus import CorpusError, Sentence
 
 END_MARKER = "</w>"
 CONTINUATION = "@@"
@@ -29,7 +29,7 @@ MODEL_HEADER = "#version: apeforge-bpe 1"
 _BASE_PREFIX = "#base: "
 
 
-class SubwordError(Exception):
+class SubwordError(CorpusError):
     pass
 
 
@@ -236,16 +236,16 @@ def load_model(path: str | Path) -> BpeModel:
         lines = fh.read().split("\n")
     if not lines or lines[0] != MODEL_HEADER:
         raise SubwordError(f"{path}: missing header {MODEL_HEADER!r}")
-    body = [ln for ln in lines[1:] if ln]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], 2) if ln]
     base: frozenset[str] = frozenset()
-    if body and body[0].startswith(_BASE_PREFIX):
-        base = frozenset(body[0][len(_BASE_PREFIX) :].split(" "))
+    if body and body[0][1].startswith(_BASE_PREFIX):
+        base = frozenset(body[0][1][len(_BASE_PREFIX) :].split(" "))
         body = body[1:]
     merges = []
-    for lineno, line in enumerate(body, 1):
+    for lineno, line in body:
         parts = line.split(" ")
         if len(parts) != 2:
-            raise SubwordError(f"{path}: bad merge line {lineno}: {line!r}")
+            raise SubwordError(f"{path}: line {lineno}: bad merge {line!r}")
         merges.append((parts[0], parts[1]))
     if not base:
         # legacy file without the inventory line: reconstruct what we can

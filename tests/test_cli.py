@@ -8,9 +8,11 @@ from click.testing import CliRunner
 from apeforge.cli import cli
 from apeforge.corpus import Triplet, read_sentences, read_triplets, write_triplets
 from apeforge.decoder import read_nbest
+from apeforge.ngram_lm import train_lm, write_arpa
 from apeforge.nmt import DivergenceError
 from apeforge.nmt import checkpoint as ckpt
 from apeforge.pipeline import MANIFEST_NAME
+from apeforge.subword import MODEL_HEADER, learn_bpe, save_model
 
 
 @pytest.fixture
@@ -137,8 +139,10 @@ class TestEvalCommand:
         result = runner.invoke(
             cli, ["eval", "--metric", "ter", "--hyp", str(hyp), "--ref", str(ref)]
         )
-        assert result.exit_code != 0
-        assert "1 hypotheses vs 2 references" in result.output
+        assert result.exit_code == 1
+        assert result.output == (
+            f"Error: {hyp}: 1 lines, expected 2 to match parallel files\n"
+        )
 
     @pytest.mark.parametrize(
         "metric, extra", [("ter", []), ("bleu", []), ("ter", ["--per-sentence"])]
@@ -801,9 +805,10 @@ class TestRunCommand:
             "end\n"
         )
         result = runner.invoke(cli, ["run", "--config", str(cfg)])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, Exception)
-        assert "broken" in str(result.exception)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: stage 'broken' failed: ")
+        assert len(result.output.splitlines()) == 1
 
 
 def _empty_hyp_line(tmp_path):
@@ -949,6 +954,43 @@ def _short_report_mt(tmp_path):
     return _report_args(tmp_path, "mt")
 
 
+def _bpe_bad_merge_line(tmp_path):
+    # header, inventory, one merge and a blank line come before the bad merge
+    args, model = _bpe_model_without_header(tmp_path)
+    write(model, [MODEL_HEADER, "#base: a b c d </w>", "a b", "", "ab c d"])
+    return args, f"{model}: line 5: bad merge"
+
+
+def _arpa_malformed_ngram_line(tmp_path):
+    args, model = _lm_xent_args(
+        tmp_path, ["\\data\\", "ngram 1=1", "", "\\1-grams:", "-1.0", "", "\\end\\"]
+    )
+    return args, f"{model}: line 5: malformed n-gram"
+
+
+def _arpa_bigram_in_unigram_section(tmp_path):
+    args, model = _lm_xent_args(
+        tmp_path,
+        ["\\data\\", "ngram 1=1", "", "\\1-grams:", "-1.0\tein haus", "", "\\end\\"],
+    )
+    return args, f"{model}: line 5: 2-gram in 1-gram section"
+
+
+def _all_training_pairs_overlong(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    write(cfg, ["max_sentence_length 2"])
+    write(tmp_path / "src.txt", ["a b c"])
+    write(tmp_path / "tgt.txt", ["x y z"])
+    args = [
+        "nmt", "train",
+        "--src", str(tmp_path / "src.txt"),
+        "--tgt", str(tmp_path / "tgt.txt"),
+        "--config", str(cfg),
+        "--out", str(tmp_path / "run"),
+    ]
+    return args, "1 overlong pairs"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -967,6 +1009,10 @@ def _short_report_mt(tmp_path):
         _bpe_model_without_header,
         _short_report_system,
         _short_report_mt,
+        _bpe_bad_merge_line,
+        _arpa_malformed_ngram_line,
+        _arpa_bigram_in_unigram_section,
+        _all_training_pairs_overlong,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):
@@ -978,6 +1024,78 @@ def test_input_error_is_one_error_line(runner, tmp_path, make_case):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error:")
     assert str(named) in result.output
+
+
+def _empty_input_commands(tmp_path, model_path):
+    """Per command: arguments that read the empty file `empty.txt` or the
+    empty triplet prefix `empty`, with every other input valid."""
+    empty, empty_prefix, good = tmp_path / "empty.txt", tmp_path / "empty", tmp_path / "good.txt"
+    empty.write_text("")
+    write_triplets(empty_prefix, [])
+    write(good, ["ein haus"])
+    write_triplets(tmp_path / "good", [Triplet(("s",), ("a",), ("a",))])
+    arpa, bpe_model = tmp_path / "lm.arpa", tmp_path / "bpe.model"
+    write_arpa(train_lm([("ein", "haus")], order=2), arpa)
+    save_model(learn_bpe([("ein", "haus")], 2), bpe_model)
+    spec = tmp_path / "mix.txt"
+    write(spec, [f"{empty_prefix} 1"])
+    train_cfg = tmp_path / "train.cfg"
+    write(train_cfg, ["embedding_dim 4", "hidden_dim 4"])
+    decoder_cfg = tmp_path / "decoder.cfg"
+    write(decoder_cfg, [f"scorer mt model={model_path} input=mt weight=1.0"])
+    out = str(tmp_path / "out")
+    return {
+        "corpus filter-wellformed": ["corpus", "filter-wellformed", "--in", empty, "--out", out],
+        "corpus mix": ["corpus", "mix", "--spec", spec, "--out", out],
+        "bpe learn": ["bpe", "learn", "--in", empty, "--merges", "2", "--out", out],
+        "bpe apply": ["bpe", "apply", "--model", bpe_model, "--in", empty, "--out", out],
+        "bpe revert": ["bpe", "revert", "--in", empty, "--out", out],
+        "eval": ["eval", "--metric", "ter", "--hyp", empty, "--ref", good],
+        "lm train": ["lm", "train", "--in", empty, "--out", out],
+        "lm xent": ["lm", "xent", "--model", arpa, "--in", empty],
+        "select xent": [
+            "select", "xent", "--in-domain", arpa, "--out-domain", arpa,
+            "--corpus", empty, "--keep", "1",
+        ],
+        "select ter": [
+            "select", "ter", "--pool", empty_prefix, "--reference", tmp_path / "good",
+            "--n", "1", "--out", out, "--report", tmp_path / "stats.txt",
+        ],
+        "nmt train": [
+            "nmt", "train", "--src", empty, "--tgt", good, "--config", train_cfg, "--out", out,
+        ],
+        "decode": ["decode", "--config", decoder_cfg, "--mt", empty, "--out", out],
+        "tune": ["tune", "--dev", empty_prefix, "--config", decoder_cfg, "--out", out],
+        "report": ["report", "--ref", empty, "--mt", good],
+        "synth corrupt": ["synth", "corrupt", "--pe", empty, "--out", out],
+        "synth roundtrip": [
+            "synth", "roundtrip", "--mono", empty, "--reverse", model_path,
+            "--forward", model_path, "--out", out,
+        ],
+    }
+
+
+_TRIPLET_COMMANDS = {"corpus mix", "select ter", "tune"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "corpus filter-wellformed", "corpus mix", "bpe learn", "bpe apply", "bpe revert",
+        "eval", "lm train", "lm xent", "select xent", "select ter", "nmt train", "decode",
+        "tune", "report", "synth corrupt", "synth roundtrip",
+    ],
+)
+def test_empty_input_file_is_one_error_line(runner, tmp_path, copy_checkpoint, command):
+    """Every command that reads a sentence or triplet file rejects an empty
+    one with `Error: <file>: no sentences` and status 1."""
+    model_path, _, _ = copy_checkpoint
+    args = _empty_input_commands(tmp_path, model_path)[command]
+    result = runner.invoke(cli, [str(arg) for arg in args])
+    named = tmp_path / ("empty.src" if command in _TRIPLET_COMMANDS else "empty.txt")
+    assert result.output == f"Error: {named}: no sentences\n"
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
 
 
 def _bounded_option_commands(tmp_path, model_path, text):

@@ -1,11 +1,14 @@
 """Tests for triplet I/O, the well-formedness filter, mixing, and escaping."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from apeforge.corpus import (
     AlignmentError,
+    CorpusError,
     ParseError,
     Triplet,
     Vocab,
@@ -15,6 +18,7 @@ from apeforge.corpus import (
     letter_count,
     mix,
     read_mix_spec,
+    read_parallel,
     read_sentences,
     read_triplets,
     sentence,
@@ -67,6 +71,33 @@ class TestTripletIO:
         with pytest.raises(ParseError) as err:
             read_sentences(p)
         assert "2" in str(err.value)
+
+    def test_read_parallel_one_list_per_path(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("x y\nz\n")
+        b.write_text("u\nv w\n")
+        assert read_parallel(a, b) == [[("x", "y"), ("z",)], [("u",), ("v", "w")]]
+
+    def test_read_parallel_missing_file_before_reading(self, tmp_path):
+        empty, missing = tmp_path / "empty.txt", tmp_path / "missing.txt"
+        empty.write_text("")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(missing))}: no such file$"):
+            read_parallel(empty, missing)
+
+    def test_read_parallel_empty_file(self, tmp_path):
+        good, empty = tmp_path / "good.txt", tmp_path / "empty.txt"
+        good.write_text("a\n")
+        empty.write_text("")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(empty))}: no sentences$"):
+            read_parallel(good, empty)
+
+    def test_read_parallel_names_short_middle_file(self, tmp_path):
+        paths = [tmp_path / f"{name}.txt" for name in ("first", "middle", "last")]
+        for path, text in zip(paths, ("a\nb\n", "c\n", "d\ne\n")):
+            path.write_text(text)
+        with pytest.raises(AlignmentError) as err:
+            read_parallel(*paths)
+        assert str(err.value) == f"{paths[1]}: 1 lines, expected 2 to match parallel files"
 
     def test_sentence_splits_on_whitespace_runs(self):
         assert sentence("a  b\tc ") == ("a", "b", "c")

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from apeforge.corpus import Vocab
+from apeforge.corpus import CorpusError, Vocab
 from apeforge.decoder import NmtScorer, ScorerBinding, decode, exact_accuracy
 from apeforge.nmt import (
     Adadelta,
@@ -278,7 +278,7 @@ class TestTraining:
     def test_all_pairs_skipped_is_an_error(self):
         model, sv, tv = tiny_model()
         long = ([sv.id("b")] * 9, [tv.id("y")] * 9)
-        with pytest.raises(ValueError, match="overlong"):
+        with pytest.raises(CorpusError, match="overlong"):
             train(model, [long], TrainConfig(max_sentence_length=4))
 
     def test_divergence_abort_names_batch(self):
