@@ -28,6 +28,7 @@ from .corpus import (
     write_triplets,
 )
 from .decoder import (
+    PEP_NAME,
     Ensemble,
     decode as beam_decode,
     parse_decoder_config,
@@ -336,14 +337,22 @@ def nmt():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def nmt_train(src_path, tgt_path, config_path, out_dir):
-    """Train on parallel line-aligned files; writes model.bin in --out."""
+    """Train on parallel line-aligned files; writes model.bin in --out.
+
+    A fresh model takes its vocabularies from the files. With
+    `fine_tune_from`, the checkpoint's model and vocabularies are trained
+    on, and words it does not know become <unk>.
+    """
     model_kw, cfg = read_train_config(config_path)
     src_corpus, tgt_corpus = read_parallel(src_path, tgt_path)
-    src_vocab = Vocab.from_corpus(src_corpus)
-    tgt_vocab = Vocab.from_corpus(tgt_corpus)
-    model = init_model(src_vocab, tgt_vocab, **model_kw)
+    if "fine_tune_from" in model_kw:
+        model = ckpt.load(model_kw["fine_tune_from"])
+    else:
+        model = init_model(
+            Vocab.from_corpus(src_corpus), Vocab.from_corpus(tgt_corpus), **model_kw
+        )
     pairs = [
-        (src_vocab.ids(s), tgt_vocab.ids(t))
+        (model.src_vocab.ids(s), model.tgt_vocab.ids(t))
         for s, t in zip(src_corpus, tgt_corpus)
     ]
     try:
@@ -404,12 +413,23 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 
     The config declares `scorer <name> model=<path> input=mt|src weight=<w>`
     lines and at most one `feature pep input=mt|union weight=<w>` line. A
-    weights file from the tuner overrides the declared weights.
+    weights file from the tuner overrides the declared weights of the
+    features it names; it may name no other feature. The --best-out line
+    is the best non-empty hypothesis of the whole beam, or the MT line
+    when every hypothesis is empty.
     """
     config = parse_decoder_config(
         Path(config_path).read_text(encoding="utf-8"), source=config_path
     )
     weights = read_weights(weights_path) if weights_path is not None else {}
+    features = [name for name, *_ in config.scorers]
+    features += [PEP_NAME] if config.pep is not None else []
+    for name in weights:
+        if name not in features:
+            raise click.ClickException(
+                f"{weights_path}: feature {name!r} is not in the ensemble "
+                f"({', '.join(features)})"
+            )
     ensemble = Ensemble(config)
     if src_path is None and ensemble.needs_src():
         raise click.UsageError("config references src input but --src not given")
@@ -420,15 +440,17 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     width = beam if beam is not None else nbest
     width = max(width, nbest)
     lists = []
+    best = []
     truncated = 0
     for i, (mt, src) in enumerate(zip(mt_corpus, src_corpus)):
         bindings, pep = reweight(*ensemble.bindings_for(mt, src), weights)
         nb = beam_decode(bindings, pep=pep, beam=width, sentence_id=i)
         truncated += nb.truncated
         lists.append(replace(nb, entries=nb.entries[:nbest]))
+        best.append(next((e.tokens for e in nb.entries if e.tokens), mt))
     write_nbest(lists, out_path)
     if best_path is not None:
-        write_sentences(best_path, [nb.entries[0].tokens for nb in lists])
+        write_sentences(best_path, best)
     msg = f"decoded {len(lists)} sentences"
     if truncated:
         msg += f" ({truncated} truncated)"

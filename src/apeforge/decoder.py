@@ -101,12 +101,6 @@ class NBestEntry:
     features: tuple[tuple[str, float], ...]
     combined: float
 
-    def feature(self, name: str) -> float:
-        for key, value in self.features:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class NBestList:

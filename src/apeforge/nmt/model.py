@@ -133,6 +133,16 @@ def pad_batch(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
+def batch_arrays(pairs) -> tuple[np.ndarray, ...]:
+    """The five forward_batch arrays for (source ids, target ids) pairs:
+    source ids and mask, then the target shifted both ways (inputs start
+    with BOS, outputs end with EOS) and its mask."""
+    src_ids, src_mask = pad_batch([s for s, _ in pairs])
+    tgt_in, tgt_mask = pad_batch([[BOS, *t] for _, t in pairs])
+    tgt_out, _ = pad_batch([[*t, EOS] for _, t in pairs])
+    return src_ids, src_mask, tgt_in, tgt_out, tgt_mask
+
+
 class _GruStep:
     """One masked GRU step with enough saved state to run backward; `zr`
     holds the z and r gates side by side."""
@@ -375,30 +385,6 @@ def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.nd
     return grads
 
 
-def loss_and_grads(model, src_seqs, tgt_seqs):
-    """Convenience wrapper: lists of id lists in, (loss, grads) out."""
-    src_ids, src_mask = pad_batch(src_seqs)
-    tgt_in, tgt_out, tgt_mask = target_batch(tgt_seqs)
-    loss, cache = forward_batch(model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask)
-    return loss, backward_batch(model, cache)
-
-
-def target_batch(tgt_seqs: list[list[int]]):
-    """Shifted target arrays: inputs start with BOS, outputs end with EOS."""
-    ins = [[BOS] + list(s) for s in tgt_seqs]
-    outs = [list(s) + [EOS] for s in tgt_seqs]
-    tgt_in, tgt_mask = pad_batch(ins)
-    tgt_out, _ = pad_batch(outs)
-    return tgt_in, tgt_out, tgt_mask
-
-
-def batch_loss(model, src_seqs, tgt_seqs) -> float:
-    src_ids, src_mask = pad_batch(src_seqs)
-    tgt_in, tgt_out, tgt_mask = target_batch(tgt_seqs)
-    loss, _ = forward_batch(model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask)
-    return loss
-
-
 def forward(
     model: Seq2SeqModel, src: list[int], tgt_prefix: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -487,7 +473,9 @@ def gradient_check(
     magnitude.
     """
     rng = np.random.default_rng(seed)
-    loss, grads = loss_and_grads(model, [src], [tgt])
+    arrays = batch_arrays([(src, tgt)])
+    _, cache = forward_batch(model, *arrays)
+    grads = backward_batch(model, cache)
     entries = []
     for name in model.param_names():
         arr = model.params[name]
@@ -502,9 +490,9 @@ def gradient_check(
             coord = np.unravel_index(flat, arr.shape)
             orig = arr[coord]
             arr[coord] = orig + GRAD_CHECK_EPSILON
-            up = batch_loss(model, [src], [tgt])
+            up, _ = forward_batch(model, *arrays)
             arr[coord] = orig - GRAD_CHECK_EPSILON
-            down = batch_loss(model, [src], [tgt])
+            down, _ = forward_batch(model, *arrays)
             arr[coord] = orig
             numeric = (up - down) / (2.0 * GRAD_CHECK_EPSILON)
             analytic = float(g[coord])

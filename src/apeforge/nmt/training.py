@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,13 +11,7 @@ import numpy as np
 
 from ..corpus import CorpusError, ParseError, config_lines
 from . import checkpoint as ckpt
-from .model import (
-    Seq2SeqModel,
-    backward_batch,
-    forward_batch,
-    pad_batch,
-    target_batch,
-)
+from .model import Seq2SeqModel, backward_batch, batch_arrays, forward_batch
 
 
 class DivergenceError(Exception):
@@ -42,7 +37,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     max_iterations: int | None = None
     log_every: int = 50
-    fine_tune_from: str | Path | None = None
 
     def __post_init__(self):
         for name, least in _MINIMUMS.items():
@@ -72,9 +66,11 @@ _MODEL_MINIMUMS = {"embedding_dim": 1, "hidden_dim": 1, "init_seed": 0}
 
 
 def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
-    """`key value` lines; '#' comments. Keys split into model size
-    (embedding_dim, hidden_dim, init_seed), returned as init_model keyword
-    arguments, and the training schedule, returned as a TrainConfig."""
+    """`key value` lines; '#' comments. Returns the model keys, then the
+    training schedule as a TrainConfig. The model keys are either
+    {"fine_tune_from": checkpoint path}, whose checkpoint fixes the sizes,
+    so embedding_dim, hidden_dim and init_seed are an error beside it, or
+    init_model keyword arguments (embedding_dim, hidden_dim, seed)."""
     values = {}
     for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
         fields = line.split()
@@ -89,14 +85,23 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
             raise ParseError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
             ) from None
+    fixed = [key for key in _MODEL_MINIMUMS if key in values]
+    if "fine_tune_from" in values and fixed:
+        raise ParseError(
+            f"{path}: {', '.join(fixed)} cannot be set with fine_tune_from; "
+            "the checkpoint fixes them"
+        )
     for key, least in _MODEL_MINIMUMS.items():
         if values.get(key, least) < least:
             raise ParseError(f"{path}: {key} must be >= {least}")
-    model_kw = {
-        "embedding_dim": values.pop("embedding_dim", 32),
-        "hidden_dim": values.pop("hidden_dim", 32),
-        "seed": values.pop("init_seed", 0),
-    }
+    if "fine_tune_from" in values:
+        model_kw = {"fine_tune_from": values.pop("fine_tune_from")}
+    else:
+        model_kw = {
+            "embedding_dim": values.pop("embedding_dim", 32),
+            "hidden_dim": values.pop("hidden_dim", 32),
+            "seed": values.pop("init_seed", 0),
+        }
     try:
         return model_kw, TrainConfig(**values)
     except ValueError as exc:
@@ -160,13 +165,20 @@ def dev_loss(model: Seq2SeqModel, pairs, batch_size: int = 80) -> float:
     total = 0.0
     tokens = 0.0
     for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        src_ids, src_mask = pad_batch([list(s) for s, _ in chunk])
-        tgt_in, tgt_out, tgt_mask = target_batch([list(t) for _, t in chunk])
-        loss, cache = forward_batch(model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask)
+        loss, cache = forward_batch(model, *batch_arrays(pairs[start : start + batch_size]))
         total += loss * cache.n_tokens
         tokens += cache.n_tokens
     return total / tokens
+
+
+def _schedule(pairs, cfg: TrainConfig):
+    """(epoch, batch number, batch) in training order; every epoch draws a
+    fresh order of `pairs` from one generator seeded with cfg.shuffle_seed."""
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(pairs))
+        for number, start in enumerate(range(0, len(pairs), cfg.batch_size)):
+            yield epoch, number, [pairs[i] for i in order[start : start + cfg.batch_size]]
 
 
 def train(
@@ -176,19 +188,17 @@ def train(
     out_dir: str | Path | None = None,
     dev: list[tuple[list[int], list[int]]] | None = None,
 ) -> TrainResult:
-    """Run the training schedule; returns the trained model and its log.
+    """Train `model` in place on id pairs; returns it with its log.
 
     Pairs longer than cfg.max_sentence_length on either side are skipped and
     counted, the corpus is reshuffled every epoch from one seeded generator,
     and a checkpoint is written every cfg.checkpoint_every iterations when
     out_dir is given.
     """
-    if cfg.fine_tune_from is not None:
-        model = ckpt.load(cfg.fine_tune_from)
     if not corpus:
         raise ValueError("training corpus is empty")
     kept = [
-        (list(s), list(t))
+        (s, t)
         for s, t in corpus
         if len(s) <= cfg.max_sentence_length and len(t) <= cfg.max_sentence_length
     ]
@@ -204,64 +214,45 @@ def train(
         out_path.mkdir(parents=True, exist_ok=True)
 
     optimizer = Adadelta(model.params, cfg.rho, cfg.epsilon)
-    rng = np.random.default_rng(cfg.shuffle_seed)
     result = TrainResult(model=model, iterations=0, skipped_pairs=skipped)
     interval_losses: list[float] = []
-    iteration = 0
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(kept))
-        for start in range(0, len(kept), cfg.batch_size):
-            if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
-                break
-            batch_index = start // cfg.batch_size
-            batch = [kept[i] for i in order[start : start + cfg.batch_size]]
-            src_ids, src_mask = pad_batch([s for s, _ in batch])
-            tgt_in, tgt_out, tgt_mask = target_batch([t for _, t in batch])
-            loss, cache = forward_batch(
-                model, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
-            )
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at iteration {iteration + 1} "
-                    f"(epoch {epoch + 1}, batch {batch_index + 1})"
-                )
-            grads = backward_batch(model, cache)
-            clip_gradients(grads, cfg.clip_norm)
-            optimizer.step(model.params, grads)
-            iteration += 1
-            result.losses.append(loss)
-            interval_losses.append(loss)
-
-            if iteration % cfg.log_every == 0:
-                entry = LogEntry(
-                    iteration=iteration,
-                    train_loss=float(np.mean(interval_losses)),
-                    dev_loss=dev_loss(model, dev, cfg.batch_size) if dev else None,
-                )
-                result.log.append(entry)
-                interval_losses = []
-            if out_path is not None and iteration % cfg.checkpoint_every == 0:
-                path = out_path / f"checkpoint-{iteration:08d}.bin"
-                ckpt.save(model, path)
-                result.checkpoint_paths.append(path)
-        else:
-            continue
-        break
-
-    if interval_losses:
+    def log_interval():
         result.log.append(
             LogEntry(
-                iteration=iteration,
+                iteration=result.iterations,
                 train_loss=float(np.mean(interval_losses)),
                 dev_loss=dev_loss(model, dev, cfg.batch_size) if dev else None,
             )
         )
+        interval_losses.clear()
+
+    schedule = itertools.islice(_schedule(kept, cfg), cfg.max_iterations)
+    for iteration, (epoch, number, batch) in enumerate(schedule, 1):
+        loss, cache = forward_batch(model, *batch_arrays(batch))
+        if not np.isfinite(loss):
+            raise DivergenceError(
+                f"non-finite loss at iteration {iteration} "
+                f"(epoch {epoch + 1}, batch {number + 1})"
+            )
+        grads = backward_batch(model, cache)
+        clip_gradients(grads, cfg.clip_norm)
+        optimizer.step(model.params, grads)
+        result.iterations = iteration
+        result.losses.append(loss)
+        interval_losses.append(loss)
+
+        if iteration % cfg.log_every == 0:
+            log_interval()
+        if out_path is not None and iteration % cfg.checkpoint_every == 0:
+            path = out_path / f"checkpoint-{iteration:08d}.bin"
+            ckpt.save(model, path)
+            result.checkpoint_paths.append(path)
+
+    if interval_losses:
+        log_interval()
     if out_path is not None:
         final = out_path / "model.bin"
         ckpt.save(model, final)
         result.checkpoint_paths.append(final)
-    result.iterations = iteration
-    result.model = model
     return result
-

@@ -236,28 +236,15 @@ def load_model(path: str | Path) -> BpeModel:
         lines = fh.read().split("\n")
     if not lines or lines[0] != MODEL_HEADER:
         raise SubwordError(f"{path}: missing header {MODEL_HEADER!r}")
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], 2) if ln]
-    base: frozenset[str] = frozenset()
-    if body and body[0][1].startswith(_BASE_PREFIX):
-        base = frozenset(body[0][1][len(_BASE_PREFIX) :].split(" "))
-        body = body[1:]
+    if len(lines) < 2 or not lines[1].startswith(_BASE_PREFIX):
+        raise SubwordError(f"{path}: line 2: missing inventory line {_BASE_PREFIX!r}")
+    base = frozenset(lines[1][len(_BASE_PREFIX) :].split(" "))
     merges = []
-    for lineno, line in body:
+    for lineno, line in enumerate(lines[2:], 3):
+        if not line:
+            continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise SubwordError(f"{path}: line {lineno}: bad merge {line!r}")
         merges.append((parts[0], parts[1]))
-    if not base:
-        # legacy file without the inventory line: reconstruct what we can
-        base = frozenset(
-            ch for pair in merges for side in pair for ch in _decompose(side)
-        ) | {END_MARKER}
     return BpeModel(merges=tuple(merges), base_symbols=base)
-
-
-def _decompose(symbol: str) -> list[str]:
-    if symbol.endswith(END_MARKER) and symbol != END_MARKER:
-        return list(symbol[: -len(END_MARKER)]) + [END_MARKER]
-    if symbol == END_MARKER:
-        return [END_MARKER]
-    return list(symbol)

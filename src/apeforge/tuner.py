@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import ParseError, Sentence, Triplet
-from .decoder import NBestList, PepFeature, ScorerBinding, decode, reweight
+from .decoder import PEP_NAME, NBestList, PepFeature, ScorerBinding, decode, reweight
 from .metrics import corpus_ter, ter
 
 FeatureWeights = dict[str, float]
@@ -201,7 +201,7 @@ def tune(
     probe_bindings, probe_pep = binding_factory(dev[0])
     names = [b.name for b in probe_bindings]
     if probe_pep is not None:
-        names.append("pep")
+        names.append(PEP_NAME)
     initial = {n: 1.0 / len(names) for n in names}
     pool: dict[int, list] = {}
 

@@ -434,3 +434,12 @@ def gru_step_reference(params, prefix, x, h_prev, m, dh):
         dx += da @ w(f"W{g}")
         dh_prev += da @ w(f"U{g}")
     return h, dx, dh_prev, grads
+
+
+def loss_and_grads(model, pairs):
+    """Mean per-token cross-entropy and gradients of one batch of (source
+    ids, target ids) pairs."""
+    from apeforge.nmt.model import backward_batch, batch_arrays, forward_batch
+
+    loss, cache = forward_batch(model, *batch_arrays(pairs))
+    return loss, backward_batch(model, cache)

@@ -6,10 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from apeforge.cli import cli
-from apeforge.corpus import Triplet, read_sentences, read_triplets, write_triplets
+from apeforge.corpus import Triplet, Vocab, read_sentences, read_triplets, write_triplets
 from apeforge.decoder import read_nbest
 from apeforge.ngram_lm import train_lm, write_arpa
-from apeforge.nmt import DivergenceError
+from apeforge.nmt import DivergenceError, TrainConfig, train
 from apeforge.nmt import checkpoint as ckpt
 from apeforge.pipeline import MANIFEST_NAME
 from apeforge.subword import MODEL_HEADER, learn_bpe, save_model
@@ -317,6 +317,85 @@ max_iterations 6
 """
 
 
+FINE_TUNE_CFG = """\
+batch_size 2
+epochs 2
+shuffle_seed 5
+checkpoint_every 1000000
+"""
+
+BASE_SRC = ["a b c d", "b c", "c d a", "d a b"]
+BASE_TGT = ["x y z w", "y z", "z w x", "w x y"]
+
+
+def nmt_train(runner, tmp_path, name, src, tgt, cfg_text):
+    """`nmt train` on the given lines; returns (result, config, model.bin)."""
+    write(tmp_path / f"{name}.src", src)
+    write(tmp_path / f"{name}.tgt", tgt)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / name
+    result = runner.invoke(
+        cli,
+        [
+            "nmt", "train",
+            "--src", str(tmp_path / f"{name}.src"),
+            "--tgt", str(tmp_path / f"{name}.tgt"),
+            "--config", str(cfg), "--out", str(out),
+        ],
+    )
+    return result, cfg, out / "model.bin"
+
+
+class TestFineTuning:
+    @pytest.fixture
+    def base(self, runner, tmp_path):
+        result, _, path = nmt_train(runner, tmp_path, "base", BASE_SRC, BASE_TGT, TRAIN_CFG)
+        assert result.exit_code == 0, result.output
+        return path
+
+    def test_trains_the_checkpoint_on_its_own_vocabularies(self, runner, tmp_path, base):
+        # the base sentences reversed: the files meet the words in another order
+        src = [" ".join(reversed(s.split())) for s in BASE_SRC]
+        tgt = [" ".join(reversed(t.split())) for t in BASE_TGT]
+        cfg_text = f"fine_tune_from {base}\n{FINE_TUNE_CFG}"
+        result, _, tuned = nmt_train(runner, tmp_path, "tuned", src, tgt, cfg_text)
+        assert result.exit_code == 0, result.output
+
+        model = ckpt.load(base)
+        pairs = [
+            (model.src_vocab.ids(s.split()), model.tgt_vocab.ids(t.split()))
+            for s, t in zip(src, tgt)
+        ]
+        cfg = TrainConfig(batch_size=2, epochs=2, shuffle_seed=5, checkpoint_every=10**6)
+        train(model, pairs, cfg, out_dir=tmp_path / "library")
+        assert tuned.read_bytes() == (tmp_path / "library" / "model.bin").read_bytes()
+
+    def test_unseen_words_become_unk(self, runner, tmp_path, base):
+        src = ["a b e", "e d", "c d a"]
+        tgt = ["x y v", "v w", "z w x"]
+        cfg_text = f"fine_tune_from {base}\n{FINE_TUNE_CFG}"
+        result, _, tuned = nmt_train(runner, tmp_path, "tuned", src, tgt, cfg_text)
+        assert result.exit_code == 0, result.output
+        assert "trained 4 iterations" in result.output
+        base_model, tuned_model = ckpt.load(base), ckpt.load(tuned)
+        assert tuned_model.src_vocab == base_model.src_vocab
+        assert tuned_model.tgt_vocab == base_model.tgt_vocab
+        assert "e" not in tuned_model.src_vocab
+
+    @pytest.mark.parametrize("key", ["embedding_dim", "hidden_dim", "init_seed"])
+    def test_model_key_beside_checkpoint_fails(self, runner, tmp_path, base, key):
+        cfg_text = f"fine_tune_from {base}\n{key} 4\n{FINE_TUNE_CFG}"
+        result, cfg, tuned = nmt_train(runner, tmp_path, "tuned", BASE_SRC, BASE_TGT, cfg_text)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"Error: {cfg}: {key} cannot be set with fine_tune_from; "
+            "the checkpoint fixes them\n"
+        )
+        assert not tuned.exists()
+
+
 class TestNmtCommands:
     def test_train_writes_model(self, runner, tmp_path):
         src = tmp_path / "src.txt"
@@ -532,12 +611,102 @@ class TestDecodeCommand:
         )
         assert result.exit_code == 0, result.output
         first = read_nbest(out)[0].entries[0]
+        feats = dict(first.features)
         # per-feature scores are reported unweighted; the combined score
         # reflects the overridden weights. Tolerance covers the 6-decimal
         # serialization of every term.
         assert first.combined == pytest.approx(
-            0.5 * first.feature("mt") + 2.0 * first.feature("pep"), abs=2e-6
+            0.5 * feats["mt"] + 2.0 * feats["pep"], abs=2e-6
         )
+
+    def test_weights_file_may_leave_a_feature_out(self, runner, tmp_path, copy_checkpoint):
+        model_path, text, _ = copy_checkpoint
+        cfg = self._config(tmp_path, model_path)
+        weights = tmp_path / "weights.txt"
+        weights.write_text("pep\t2.000000\n")
+        out = tmp_path / "nbest.txt"
+        result = runner.invoke(
+            cli,
+            [
+                "decode",
+                "--config", str(cfg),
+                "--mt", str(text),
+                "--weights", str(weights),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        first = read_nbest(out)[0].entries[0]
+        feats = dict(first.features)
+        # mt keeps its config weight 1.0
+        assert first.combined == pytest.approx(feats["mt"] + 2.0 * feats["pep"], abs=2e-6)
+
+    @pytest.mark.parametrize("name", ["mtt", "pepp"])
+    def test_weight_outside_the_ensemble_fails(self, runner, tmp_path, copy_checkpoint, name):
+        model_path, text, _ = copy_checkpoint
+        cfg = self._config(tmp_path, model_path)
+        weights = tmp_path / "weights.txt"
+        weights.write_text(f"mt\t0.500000\n{name}\t1.000000\n")
+        out = tmp_path / "nbest.txt"
+        result = runner.invoke(
+            cli,
+            [
+                "decode",
+                "--config", str(cfg),
+                "--mt", str(text),
+                "--weights", str(weights),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"Error: {weights}: feature {name!r} is not in the ensemble (mt, pep)\n"
+        )
+        assert not out.exists()
+
+    @pytest.fixture
+    def eos_first(self, tmp_path, copy_checkpoint):
+        """A decoder config over the copy model with </s> raised so far that
+        the empty hypothesis ranks first, and the MT file."""
+        model_path, text, _ = copy_checkpoint
+        model = ckpt.load(model_path)
+        model.params["out_b"][Vocab.EOS] += 50.0
+        ckpt.save(model, tmp_path / "eos.bin")
+        return self._config(tmp_path, tmp_path / "eos.bin", pep=False), text
+
+    def _decode(self, runner, cfg, text, out, *args):
+        result = runner.invoke(
+            cli, ["decode", "--config", str(cfg), "--mt", str(text), "--out", str(out), *args]
+        )
+        assert result.exit_code == 0, result.output
+        return read_nbest(out)
+
+    def test_best_out_without_a_non_empty_hypothesis_is_the_mt_line(
+        self, runner, tmp_path, eos_first
+    ):
+        cfg, text = eos_first
+        best = tmp_path / "best.txt"
+        lists = self._decode(
+            runner, cfg, text, tmp_path / "nbest.txt", "--beam", "1", "--best-out", str(best)
+        )
+        assert all(nb.entries[0].tokens == () for nb in lists)
+        assert best.read_text() == text.read_text()
+
+    def test_best_out_is_the_best_non_empty_hypothesis_of_the_beam(
+        self, runner, tmp_path, eos_first
+    ):
+        cfg, text = eos_first
+        full = self._decode(runner, cfg, text, tmp_path / "full.txt", "--nbest", "4")
+        assert all(nb.entries[0].tokens == () for nb in full)
+        best = tmp_path / "best.txt"
+        cut = self._decode(
+            runner, cfg, text, tmp_path / "cut.txt",
+            "--nbest", "1", "--beam", "4", "--best-out", str(best),
+        )
+        # the n-best file keeps the empty best; --best-out skips it
+        assert [nb.entries for nb in cut] == [nb.entries[:1] for nb in full]
+        assert read_sentences(best) == [nb.entries[1].tokens for nb in full]
 
     def test_non_numeric_weight_fails(self, runner, tmp_path, copy_checkpoint):
         model_path, text, _ = copy_checkpoint

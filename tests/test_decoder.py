@@ -193,8 +193,9 @@ class TestBeamSearch:
         for a, b in zip(one.entries, two.entries):
             assert b.combined == pytest.approx(a.combined, abs=1e-9)
             # each duplicated feature carries the full single-model score
-            assert b.feature("m1") == pytest.approx(a.feature("m"), abs=1e-9)
-            assert b.feature("m2") == pytest.approx(a.feature("m"), abs=1e-9)
+            single, doubled = dict(a.features), dict(b.features)
+            assert doubled["m1"] == pytest.approx(single["m"], abs=1e-9)
+            assert doubled["m2"] == pytest.approx(single["m"], abs=1e-9)
 
     def test_positive_weight_scaling_preserves_ranking(self):
         vocab = stub_vocab()

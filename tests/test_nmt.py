@@ -28,18 +28,15 @@ from apeforge.nmt import (
 )
 from apeforge.nmt.model import (
     _GruStep,
-    backward_batch,
-    batch_loss,
+    batch_arrays,
     forward_batch,
-    loss_and_grads,
     pad_batch,
     param_shapes,
-    target_batch,
 )
 from apeforge.nmt.training import clip_gradients
 
 from conftest import copy_task_pairs
-from helpers import gru_step_reference
+from helpers import gru_step_reference, loss_and_grads
 
 
 def tiny_model(seed=3, e=7, h=5):
@@ -78,7 +75,7 @@ class TestGradientCheck:
         model.params["out_b"][:] = 0.0
         src = [sv.id("a"), sv.id("b")]
         tgt = [tv.id("x"), tv.id("y")]
-        loss, grads = loss_and_grads(model, [src], [tgt])
+        loss, grads = loss_and_grads(model, [(src, tgt)])
         assert loss == pytest.approx(math.log(len(tv)))
         # uniform softmax: d(loss)/d(out_b) = 1/|V| - counts(tgt_out)/N
         n = len(tgt) + 1
@@ -147,9 +144,9 @@ class TestBatching:
         model, sv, tv = tiny_model(seed=5)
         a = ([sv.id("a"), sv.id("b")], [tv.id("x")])
         b = ([sv.id("c")], [tv.id("y"), tv.id("z"), tv.id("x")])
-        la, ga = loss_and_grads(model, [a[0]], [a[1]])
-        lb, gb = loss_and_grads(model, [b[0]], [b[1]])
-        lab, gab = loss_and_grads(model, [a[0], b[0]], [a[1], b[1]])
+        la, ga = loss_and_grads(model, [a])
+        lb, gb = loss_and_grads(model, [b])
+        lab, gab = loss_and_grads(model, [a, b])
         na, nb = len(a[1]) + 1, len(b[1]) + 1
         assert lab == pytest.approx((la * na + lb * nb) / (na + nb), rel=1e-12)
         for name in gab:
@@ -165,14 +162,8 @@ class TestBatching:
         model, sv, tv = tiny_model(seed=8)
         short = ([sv.id("a")], [tv.id("x")])
         long = ([sv.id("b")] * 4, [tv.id("y")] * 4)
-        _, cache = forward_batch(
-            model,
-            *pad_batch([short[0], long[0]]),
-            *target_batch([short[1], long[1]]),
-        )
-        _, solo_cache = forward_batch(
-            model, *pad_batch([short[0]]), *target_batch([short[1]])
-        )
+        _, cache = forward_batch(model, *batch_arrays([short, long]))
+        _, solo_cache = forward_batch(model, *batch_arrays([short]))
         # per-token logps of the short pair must match its solo run
         np.testing.assert_allclose(
             cache.logps[0][0], solo_cache.logps[0][0], atol=1e-12
@@ -184,7 +175,9 @@ class TestBatching:
         assert mask.tolist() == [[1.0, 1.0], [1.0, 0.0]]
 
     def test_target_batch_shifts(self):
-        tgt_in, tgt_out, mask = target_batch([[7, 8]])
+        src_ids, src_mask, tgt_in, tgt_out, mask = batch_arrays([([5], [7, 8])])
+        assert src_ids.tolist() == [[5]]
+        assert src_mask.tolist() == [[1.0]]
         assert tgt_in.tolist() == [[Vocab.BOS, 7, 8]]
         assert tgt_out.tolist() == [[7, 8, Vocab.EOS]]
         assert mask.tolist() == [[1.0, 1.0, 1.0]]
@@ -224,9 +217,7 @@ class TestForward:
         model, sv, tv = tiny_model(seed=13)
         src = [sv.id(t) for t in ("a", "c", "b")]
         tgt = [tv.id(t) for t in ("y", "x", "z")]
-        _, cache = forward_batch(
-            model, *pad_batch([src]), *target_batch([tgt])
-        )
+        _, cache = forward_batch(model, *batch_arrays([(src, tgt)]))
         state = DecodeState.start(model, src)
         prev = Vocab.BOS
         for t, tok in enumerate(tgt + [Vocab.EOS]):
@@ -354,10 +345,9 @@ class TestTraining:
         before = dev_loss(load(ckpt_path), shifted)
         tune_cfg = TrainConfig(
             batch_size=4, epochs=100, shuffle_seed=9, checkpoint_every=10**9,
-            max_iterations=200, fine_tune_from=ckpt_path,
+            max_iterations=200,
         )
-        ignored = init_model(vocab, vocab, embedding_dim=16, hidden_dim=12, seed=99)
-        result = train(ignored, shifted, tune_cfg)
+        result = train(load(ckpt_path), shifted, tune_cfg)
         after = dev_loss(result.model, shifted)
         assert after < before
 

@@ -205,12 +205,12 @@ class TestModelFile:
     def test_file_without_inventory_line(self, tmp_path):
         path = tmp_path / "legacy.model"
         path.write_text(MODEL_HEADER + "\na b\n")
-        model = load_model(path)
-        assert model.merges == (("a", "b"),)
-        assert {"a", "b", END_MARKER} <= model.base_symbols
+        with pytest.raises(SubwordError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: line 2: missing inventory line '#base: '"
 
     def test_bad_merge_line(self, tmp_path):
         path = tmp_path / "bad.model"
-        path.write_text(MODEL_HEADER + "\na b c\n")
-        with pytest.raises(SubwordError):
+        path.write_text(MODEL_HEADER + "\n#base: a b c </w>\na b c\n")
+        with pytest.raises(SubwordError, match="line 3: bad merge"):
             load_model(path)

@@ -114,10 +114,8 @@ class TestRerank:
                 weights = {"neg_ter": float(w0), "noise": float(w1)}
                 got = rerank(lists, weights)
                 for nbest, pick in zip(lists, got):
-                    scores = [
-                        w0 * e.feature("neg_ter") + w1 * e.feature("noise")
-                        for e in nbest.entries
-                    ]
+                    feats = [dict(e.features) for e in nbest.entries]
+                    scores = [w0 * f["neg_ter"] + w1 * f["noise"] for f in feats]
                     best = max(range(len(scores)), key=lambda i: (scores[i], -i))
                     assert pick == nbest.entries[best].tokens
 
