@@ -243,13 +243,15 @@ def select():
 
 
 def _parse_keep(ctx, param, value: str):
-    """A line count, or a fraction in (0, 1] when the value has a '.'."""
+    """A line count >= 1, or a fraction in (0, 1] when the value has a '.'."""
     try:
         keep = float(value) if "." in value else int(value)
     except ValueError:
         raise click.BadParameter(f"{value!r} is not a line count or a fraction") from None
     if isinstance(keep, float) and not 0.0 < keep <= 1.0:
         raise click.BadParameter(f"{value!r} is not a fraction in (0, 1]")
+    if isinstance(keep, int) and keep < 1:
+        raise click.BadParameter(f"{value!r} is not a line count >= 1")
     return keep
 
 
@@ -258,7 +260,7 @@ def _parse_keep(ctx, param, value: str):
 @click.option("--out-domain", "out_lm_path", required=True, type=click.Path(exists=True))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option(
-    "--keep", required=True, callback=_parse_keep, help="Line count, or a fraction in (0, 1]."
+    "--keep", required=True, callback=_parse_keep, help="Lines (>= 1), or a fraction in (0, 1]."
 )
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):

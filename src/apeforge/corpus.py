@@ -7,6 +7,7 @@ Input text is assumed pre-tokenized; this module only splits on whitespace.
 
 from __future__ import annotations
 
+import math
 import sys
 import unicodedata
 from dataclasses import dataclass
@@ -132,6 +133,15 @@ def config_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def finite_float(text: str) -> float:
+    """float(text) for a config or weights value; nan and infinities are a
+    ValueError too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def read_sentences(path: str | Path) -> list[Sentence]:
     """Read one sentence per line; an empty line or file is a parse error."""
     out = []
@@ -234,7 +244,8 @@ def mix(
 
 
 def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
-    """Parse a mix file: one `<corpus-prefix> <factor>` pair per line."""
+    """Parse a mix file: one `<corpus-prefix> <factor>` pair per line, each
+    factor an integer >= 1."""
     parts = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -248,6 +259,8 @@ def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
                 factor = int(fields[1])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: bad factor {fields[1]!r}")
+            if factor < 1:
+                raise ParseError(f"{path}: line {lineno}: factor {factor} must be >= 1")
             parts.append((fields[0], factor))
     return parts
 

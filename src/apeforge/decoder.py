@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Sentence, Vocab, config_lines, escape, unescape
+from .corpus import CorpusError, Sentence, Vocab, config_lines, escape, finite_float, unescape
 from .nmt import checkpoint as ckpt
 from .nmt.model import DecodeState, Seq2SeqModel
 
@@ -317,7 +317,7 @@ def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
                 kv = dict(f.split("=", 1) for f in fields[2:])
                 if kv["input"] not in ("mt", "src"):
                     raise ValueError(f"bad scorer input {kv['input']!r}")
-                scorers.append((name, kv["model"], kv["input"], float(kv["weight"])))
+                scorers.append((name, kv["model"], kv["input"], finite_float(kv["weight"])))
             elif fields[0] == "feature":
                 if fields[1] != PEP_NAME:
                     raise ValueError(f"unknown feature {fields[1]!r}")
@@ -326,7 +326,7 @@ def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
                     raise ValueError(f"bad feature input {kv['input']!r}")
                 if pep is not None:
                     raise ValueError("duplicate pep feature")
-                pep = (kv["input"], float(kv["weight"]))
+                pep = (kv["input"], finite_float(kv["weight"]))
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except (IndexError, KeyError, ValueError) as exc:

@@ -34,12 +34,6 @@ class LmError(CorpusError):
 
 
 @dataclass(frozen=True)
-class SelectionScore:
-    line_index: int
-    score: float  # cross-entropy difference, bits per token
-
-
-@dataclass(frozen=True)
 class _Discounts:
     d1: float
     d2: float
@@ -208,13 +202,10 @@ def xent_scores(
     in_lm: NgramLm,
     out_lm: NgramLm,
     corpus: Sequence[Sentence],
-) -> list[SelectionScore]:
-    """Moore-Lewis scores: in-domain xent minus out-of-domain xent."""
-    scores = []
-    for i, s in enumerate(corpus):
-        score = cross_entropy(in_lm, s) - cross_entropy(out_lm, s)
-        scores.append(SelectionScore(line_index=i, score=score))
-    return scores
+) -> list[float]:
+    """Moore-Lewis score of each line: in-domain minus out-of-domain
+    cross-entropy, bits per token."""
+    return [cross_entropy(in_lm, s) - cross_entropy(out_lm, s) for s in corpus]
 
 
 def select_by_xent(
@@ -225,21 +216,23 @@ def select_by_xent(
 ) -> list[int]:
     """Indices of the `keep` lowest-scoring lines, score-ascending.
 
-    `keep` may be an absolute count or a fraction in (0, 1]. Ties keep the
-    original line order (stable sort on the score alone).
+    `keep` may be an absolute count or a fraction in (0, 1] that keeps at
+    least one line. Ties keep the original line order (stable sort on the
+    score alone).
     """
     n = len(corpus)
     if isinstance(keep, float):
         if not 0.0 < keep <= 1.0:
             raise LmError(f"keep={keep} is not a fraction in (0, 1]")
         k = round(n * keep)
+        if k < 1:
+            raise LmError(f"keep={keep} of {n} lines keeps no line")
     else:
         k = keep
     if not 0 <= k <= n:
         raise LmError(f"keep={keep} out of range for corpus of {n} lines")
     scores = xent_scores(in_lm, out_lm, corpus)
-    ranked = sorted(scores, key=lambda sc: sc.score)
-    return [sc.line_index for sc in ranked[:k]]
+    return sorted(range(n), key=scores.__getitem__)[:k]
 
 
 def write_arpa(lm: NgramLm, path: str | Path) -> None:

@@ -7,7 +7,6 @@ from .model import (
     GradCheckReport,
     InputError,
     Seq2SeqModel,
-    forward,
     gradient_check,
     init_model,
 )
@@ -17,7 +16,6 @@ from .training import (
     LogEntry,
     TrainConfig,
     TrainResult,
-    dev_loss,
     read_train_config,
     train,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "Seq2SeqModel",
     "TrainConfig",
     "TrainResult",
-    "dev_loss",
-    "forward",
     "gradient_check",
     "init_model",
     "load",

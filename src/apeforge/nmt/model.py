@@ -385,40 +385,23 @@ def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.nd
     return grads
 
 
-def forward(
-    model: Seq2SeqModel, src: list[int], tgt_prefix: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Next-token log-distribution after consuming tgt_prefix.
-
-    Returns (log-probabilities over the target vocab, attention weights of
-    the prediction step over source positions).
-    """
-    _check_ids(src, len(model.src_vocab), "source")
-    _check_ids(tgt_prefix, len(model.tgt_vocab), "target")
-    state = DecodeState.start(model, src)
-    logp = None
-    for token in [BOS] + list(tgt_prefix):
-        logp, state = state.step(model, [0], [token])
-    return logp[0], state.last_alpha[0]
-
-
 class DecodeState:
     """Incremental decoder state of B hypotheses over one source sentence:
     the encoder memory, computed once, plus the recurrent state `s` of shape
-    (B, H) and the last attention weights `last_alpha` of shape (B, Ts)."""
+    (B, H)."""
 
-    __slots__ = ("encoder", "s", "last_alpha")
+    __slots__ = ("encoder", "s")
 
-    def __init__(self, encoder, s, last_alpha=None):
+    def __init__(self, encoder, s):
         self.encoder = encoder
         self.s = s
-        self.last_alpha = last_alpha
 
     @classmethod
     def start(cls, model: Seq2SeqModel, src: list[int]) -> "DecodeState":
         """The one-row state before any target token."""
         if not src:
             raise InputError("empty source sequence")
+        _check_ids(src, len(model.src_vocab), "source")
         enc = _Encoder(model, *pad_batch([list(src)]))
         return cls(enc, enc.s0)
 
@@ -433,7 +416,7 @@ class DecodeState:
             np.asarray(tokens),
             np.ones(len(tokens)),
         )
-        return step.logp, DecodeState(self.encoder, step.gru.h, step.att.alpha)
+        return step.logp, DecodeState(self.encoder, step.gru.h)
 
 
 @dataclass(frozen=True)

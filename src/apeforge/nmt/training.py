@@ -112,7 +112,6 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
 class LogEntry:
     iteration: int
     train_loss: float
-    dev_loss: float | None = None
 
 
 @dataclass
@@ -160,17 +159,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def dev_loss(model: Seq2SeqModel, pairs, batch_size: int = 80) -> float:
-    """Token-weighted mean cross-entropy over held-out pairs."""
-    total = 0.0
-    tokens = 0.0
-    for start in range(0, len(pairs), batch_size):
-        loss, cache = forward_batch(model, *batch_arrays(pairs[start : start + batch_size]))
-        total += loss * cache.n_tokens
-        tokens += cache.n_tokens
-    return total / tokens
-
-
 def _schedule(pairs, cfg: TrainConfig):
     """(epoch, batch number, batch) in training order; every epoch draws a
     fresh order of `pairs` from one generator seeded with cfg.shuffle_seed."""
@@ -186,7 +174,6 @@ def train(
     corpus: list[tuple[list[int], list[int]]],
     cfg: TrainConfig,
     out_dir: str | Path | None = None,
-    dev: list[tuple[list[int], list[int]]] | None = None,
 ) -> TrainResult:
     """Train `model` in place on id pairs; returns it with its log.
 
@@ -218,13 +205,7 @@ def train(
     interval_losses: list[float] = []
 
     def log_interval():
-        result.log.append(
-            LogEntry(
-                iteration=result.iterations,
-                train_loss=float(np.mean(interval_losses)),
-                dev_loss=dev_loss(model, dev, cfg.batch_size) if dev else None,
-            )
-        )
+        result.log.append(LogEntry(result.iterations, float(np.mean(interval_losses))))
         interval_losses.clear()
 
     schedule = itertools.islice(_schedule(kept, cfg), cfg.max_iterations)

@@ -1,9 +1,9 @@
 """Feature-weight optimization toward lower corpus TER.
 
 Outer loop: decode the dev set with the current weights (length-normalized
-scores), merge the fresh n-best lists into the accumulated pool
-(deduplicating by hypothesis string), then run margin-based online updates
-over the pool. Sentence-level TER
+scores), add the fresh hypotheses to each sentence's accumulated pool
+(one entry per distinct hypothesis, first decoded first), then run
+margin-based online updates over the pool. Sentence-level TER
 against the post-edited reference, as a fraction, is the loss. The returned
 weights are whichever candidate (initial weights included) reranks the
 accumulated pool to the lowest corpus TER, so tuning can never end worse
@@ -18,8 +18,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Sentence, Triplet
-from .decoder import PEP_NAME, NBestList, PepFeature, ScorerBinding, decode, reweight
+from .corpus import ParseError, Sentence, Triplet, finite_float
+from .decoder import (
+    PEP_NAME, NBestEntry, NBestList, PepFeature, ScorerBinding, decode, reweight,
+)
 from .metrics import corpus_ter, ter
 
 FeatureWeights = dict[str, float]
@@ -171,20 +173,6 @@ BindingFactory = Callable[
 ]
 
 
-def _merge(
-    pool: dict[int, list],
-    fresh: Sequence[NBestList],
-) -> None:
-    for nbest in fresh:
-        entries = pool.setdefault(nbest.sentence_id, [])
-        seen = {" ".join(e.tokens) for e in entries}
-        for entry in nbest.entries:
-            key = " ".join(entry.tokens)
-            if key not in seen:
-                seen.add(key)
-                entries.append(entry)
-
-
 def tune(
     dev: Sequence[Triplet],
     binding_factory: BindingFactory,
@@ -203,15 +191,18 @@ def tune(
     if probe_pep is not None:
         names.append(PEP_NAME)
     initial = {n: 1.0 / len(names) for n in names}
-    pool: dict[int, list] = {}
+    # per dev sentence, its distinct hypotheses in first-decoded order
+    pool: list[dict[Sentence, NBestEntry]] = [{} for _ in dev]
 
     def pool_for(weights: FeatureWeights) -> list[NBestList]:
-        fresh = []
         for i, triplet in enumerate(dev):
             bindings, pep = reweight(*binding_factory(triplet), weights)
-            fresh.append(decode(bindings, pep=pep, beam=cfg.beam, sentence_id=i))
-        _merge(pool, fresh)
-        return [NBestList(sentence_id=i, entries=tuple(pool[i])) for i in sorted(pool)]
+            for entry in decode(bindings, pep=pep, beam=cfg.beam, sentence_id=i).entries:
+                pool[i].setdefault(entry.tokens, entry)
+        return [
+            NBestList(sentence_id=i, entries=tuple(entries.values()))
+            for i, entries in enumerate(pool)
+        ]
 
     return _search(pool_for, [t.pe for t in dev], initial, cfg)
 
@@ -225,7 +216,7 @@ def write_weights(path: str | Path, weights: Mapping[str, float]) -> None:
 
 def read_weights(path: str | Path) -> FeatureWeights:
     """Inverse of write_weights. Blank lines are skipped; the format has no
-    comments."""
+    comments; every weight is a finite number."""
     weights = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -237,7 +228,7 @@ def read_weights(path: str | Path) -> FeatureWeights:
                 raise ParseError(f"{path}: line {lineno}: expected 'name<TAB>value'")
             name, value = fields
             try:
-                weights[name] = float(value)
+                weights[name] = finite_float(value)
             except ValueError:
                 raise ParseError(
                     f"{path}: line {lineno}: bad weight {value!r} for {name!r}"

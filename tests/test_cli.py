@@ -1160,6 +1160,28 @@ def _all_training_pairs_overlong(tmp_path):
     return args, "1 overlong pairs"
 
 
+def _nonpositive_mix_factor(tmp_path):
+    # the corpus exists, so only the factor can be at fault
+    write_triplets(tmp_path / "a", [Triplet(src=("s",), mt=("a",), pe=("a",))])
+    spec = tmp_path / "mix.txt"
+    write(spec, [f"{tmp_path / 'a'} 1", f"{tmp_path / 'a'} 0"])
+    args = ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")]
+    return args, f"{spec}: line 2: factor 0 must be >= 1"
+
+
+def _non_finite_weights_file(tmp_path):
+    # the weights file is read before any model, so the model path is not read
+    args, _ = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=1")
+    weights = tmp_path / "weights.txt"
+    write(weights, ["m\tnan"])
+    return args + ["--weights", str(weights)], f"{weights}: line 1: bad weight 'nan'"
+
+
+def _non_finite_config_weight(tmp_path):
+    args, cfg = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=inf")
+    return args, f"{cfg}: line 1: 'inf' is not a finite number"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1182,6 +1204,9 @@ def _all_training_pairs_overlong(tmp_path):
         _arpa_malformed_ngram_line,
         _arpa_bigram_in_unigram_section,
         _all_training_pairs_overlong,
+        _nonpositive_mix_factor,
+        _non_finite_weights_file,
+        _non_finite_config_weight,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):
@@ -1325,6 +1350,7 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("select xent", ["--keep", "0.0"], "'0.0'"),
         ("lm train", ["--sample-tokens", "-5"], "'--sample-tokens'"),
         ("lm train", ["--order", "0"], "'--order'"),
+        ("select xent", ["--keep", "0"], "'0'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

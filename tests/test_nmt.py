@@ -18,8 +18,6 @@ from apeforge.nmt import (
     DivergenceError,
     InputError,
     TrainConfig,
-    dev_loss,
-    forward,
     gradient_check,
     init_model,
     load,
@@ -43,6 +41,21 @@ def tiny_model(seed=3, e=7, h=5):
     sv = Vocab(["a", "b", "c", "d"])
     tv = Vocab(["x", "y", "z"])
     return init_model(sv, tv, embedding_dim=e, hidden_dim=h, seed=seed), sv, tv
+
+
+def next_logp(model, src, tgt_prefix):
+    """Next-token log-distribution after tgt_prefix, through DecodeState."""
+    state = DecodeState.start(model, src)
+    for token in [Vocab.BOS, *tgt_prefix]:
+        logp, state = state.step(model, [0], [token])
+    return logp[0]
+
+
+def prediction_attention(model, src, tgt_prefix):
+    """Attention weights over the source of the step that predicts the token
+    after tgt_prefix, read from forward_batch's cache."""
+    _, cache = forward_batch(model, *batch_arrays([(src, tgt_prefix)]))
+    return cache.steps[len(tgt_prefix)].att.alpha[0]
 
 
 class TestGradientCheck:
@@ -186,14 +199,15 @@ class TestBatching:
 class TestForward:
     def test_distribution_normalized(self):
         model, sv, tv = tiny_model()
-        logp, alpha = forward(model, [sv.id("a"), sv.id("b")], [tv.id("x")])
+        src, prefix = [sv.id("a"), sv.id("b")], [tv.id("x")]
+        logp = next_logp(model, src, prefix)
         assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-6)
         assert logp.shape == (len(tv),)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
+        assert prediction_attention(model, src, prefix).sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_attention_normalized(self):
         model, sv, tv = tiny_model()
-        _, alpha = forward(model, [sv.id(t) for t in "abcd"], [])
+        alpha = prediction_attention(model, [sv.id(t) for t in "abcd"], [])
         assert alpha.shape == (4,)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
         assert (alpha >= 0).all()
@@ -201,16 +215,24 @@ class TestForward:
     def test_id_out_of_range(self):
         model, sv, tv = tiny_model()
         with pytest.raises(InputError):
-            forward(model, [len(sv)], [])
+            DecodeState.start(model, [len(sv)])
         with pytest.raises(InputError):
-            forward(model, [sv.id("a")], [len(tv)])
+            DecodeState.start(model, [-1])
         with pytest.raises(InputError):
-            forward(model, [-1], [])
+            forward_batch(model, *batch_arrays([([sv.id("a")], [len(tv)])]))
+
+    @pytest.mark.parametrize("bad", [-1, 99])
+    def test_decode_rejects_source_id_out_of_range(self, bad):
+        # -1 would index the last embedding row and decode silently
+        model, sv, _ = tiny_model()
+        binding = ScorerBinding("nmt", NmtScorer(model), (bad, sv.id("a")), 1.0)
+        with pytest.raises(InputError, match="source id out of range"):
+            decode([binding], beam=2)
 
     def test_empty_source_rejected(self):
         model, _, _ = tiny_model()
         with pytest.raises(InputError):
-            forward(model, [], [])
+            DecodeState.start(model, [])
 
     def test_incremental_matches_batched(self):
         # teacher-forced batch logps must equal the step-by-step decode path
@@ -231,8 +253,8 @@ class TestForward:
         src = next(s for s, _ in pairs if len(set(s)) >= 3)
         permuted = [src[1], src[0]] + list(src[2:])
         assert permuted != src
-        p = np.exp(forward(model, src, [])[0])
-        q = np.exp(forward(model, permuted, [])[0])
+        p = np.exp(next_logp(model, src, []))
+        q = np.exp(next_logp(model, permuted, []))
         assert 0.5 * np.abs(p - q).sum() > 1e-3
 
 
@@ -321,13 +343,12 @@ class TestTraining:
         for name in loaded.params:
             np.testing.assert_array_equal(loaded.params[name], half.model.params[name])
 
-    def test_log_cadence_and_dev_metric(self):
+    def test_log_cadence(self):
         vocab, pairs = copy_task_pairs(n_pairs=6, seed=4)
         model = init_model(vocab, vocab, embedding_dim=8, hidden_dim=6, seed=2)
         cfg = TrainConfig(batch_size=2, epochs=4, log_every=3, checkpoint_every=10**9)
-        result = train(model, pairs, cfg, dev=pairs[:2])
+        result = train(model, pairs, cfg)
         assert [e.iteration for e in result.log] == [3, 6, 9, 12]
-        assert all(e.dev_loss is not None for e in result.log)
         assert all(np.isfinite(e.train_loss) for e in result.log)
 
     def test_fine_tuning_reduces_shifted_task_loss(self, tmp_path):
@@ -342,13 +363,13 @@ class TestTraining:
 
         # shifted task: target is the reversed source
         shifted = [(s, list(reversed(s))) for s, _ in pairs]
-        before = dev_loss(load(ckpt_path), shifted)
+        before = loss_and_grads(load(ckpt_path), shifted)[0]
         tune_cfg = TrainConfig(
             batch_size=4, epochs=100, shuffle_seed=9, checkpoint_every=10**9,
             max_iterations=200,
         )
         result = train(load(ckpt_path), shifted, tune_cfg)
-        after = dev_loss(result.model, shifted)
+        after = loss_and_grads(result.model, shifted)[0]
         assert after < before
 
     def test_greedy_decode_emits_token_ids(self, copy_task):
@@ -415,10 +436,10 @@ class TestCheckpoint:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         src, tgt = [sv.id("a"), sv.id("c")], [tv.id("z")]
-        lp1, al1 = forward(model, src, tgt)
-        lp2, al2 = forward(loaded, src, tgt)
-        np.testing.assert_array_equal(lp1, lp2)
-        np.testing.assert_array_equal(al1, al2)
+        np.testing.assert_array_equal(next_logp(model, src, tgt), next_logp(loaded, src, tgt))
+        np.testing.assert_array_equal(
+            prediction_attention(model, src, tgt), prediction_attention(loaded, src, tgt)
+        )
 
     def test_save_is_deterministic(self, tmp_path):
         model, _, _ = tiny_model(seed=31)
