@@ -303,6 +303,17 @@ class DecoderConfig:
     pep: tuple[str, float] | None = None  # (input selector, weight)
 
 
+def _key_values(fields: list[str]) -> dict[str, str]:
+    """A config line's `key=value` fields as a dict."""
+    kv = {}
+    for f in fields:
+        key, eq, value = f.partition("=")
+        if not eq:
+            raise ValueError(f"field {f!r} is not key=value")
+        kv[key] = value
+    return kv
+
+
 def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
     """Line format: `scorer <name> model=<path> input=mt|src weight=<w>` or
     `feature pep input=mt|union weight=<w>`; '#' starts a comment. Error
@@ -314,14 +325,14 @@ def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
         try:
             if fields[0] == "scorer":
                 name = fields[1]
-                kv = dict(f.split("=", 1) for f in fields[2:])
+                kv = _key_values(fields[2:])
                 if kv["input"] not in ("mt", "src"):
                     raise ValueError(f"bad scorer input {kv['input']!r}")
                 scorers.append((name, kv["model"], kv["input"], finite_float(kv["weight"])))
             elif fields[0] == "feature":
                 if fields[1] != PEP_NAME:
                     raise ValueError(f"unknown feature {fields[1]!r}")
-                kv = dict(f.split("=", 1) for f in fields[2:])
+                kv = _key_values(fields[2:])
                 if kv["input"] not in ("mt", "union"):
                     raise ValueError(f"bad feature input {kv['input']!r}")
                 if pep is not None:

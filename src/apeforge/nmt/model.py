@@ -7,8 +7,9 @@ output projection over [state; context; previous embedding]. The backward
 pass is written by hand and verified coordinate-wise against central finite
 differences (see gradient_check).
 
-All math runs in float64 for checkable gradients; speed at toy scale is
-dominated by Python loop overhead anyway.
+All math runs in float64 for checkable gradients. Attention and the output
+layer contract through (batched) BLAS products, and the backward pass runs
+the output layer for all target steps at once.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class _GruStep:
 class _Encoder:
     """Bidirectional encoder pass with cached per-step state, plus what every
     decoder step reads from it: the initial decoder state `s0` and the
-    attention keys `u_cached`."""
+    attention keys `u_cached`, which include `att_b`."""
 
     def __init__(self, model, src_ids, src_mask):
         p = model.params
@@ -216,7 +217,7 @@ class _Encoder:
             / self.lengths[:, None]
         )
         self.s0 = np.tanh(self.mean @ p["init_W"].T + p["init_b"])
-        self.u_cached = self.annotations @ p["att_U"].T  # (B, Ts, A)
+        self.u_cached = self.annotations @ p["att_U"].T + p["att_b"]  # (B, Ts, A)
 
     def backward(self, model, d_annotations, d_u, ds0, grads):
         """Back-propagate dL/d(annotations), dL/d(u_cached) and dL/d(s0)."""
@@ -230,7 +231,8 @@ class _Encoder:
         d_mean = dpre0 @ p["init_W"]
 
         # attention keys used by every decoder step
-        grads["att_U"] += np.einsum("bta,btd->ad", d_u, self.annotations)
+        grads["att_U"] += d_u.reshape(-1, h).T @ self.annotations.reshape(-1, 2 * h)
+        grads["att_b"] += d_u.sum(axis=(0, 1))
         d_annotations += d_u @ p["att_U"]
 
         dh_all = d_annotations + (
@@ -255,27 +257,26 @@ class _AttentionStep:
     def __init__(self, p, s_prev, encoder):
         self.s_prev = s_prev
         self.annotations = encoder.annotations
-        self.q = s_prev @ p["att_W"].T  # (B, A)
-        self.g = np.tanh(self.q[:, None, :] + encoder.u_cached + p["att_b"])  # (B,Ts,A)
+        q = s_prev @ p["att_W"].T  # (B, A)
+        self.g = np.tanh(q[:, None, :] + encoder.u_cached)  # (B, Ts, A)
         scores = self.g @ p["att_v"]  # (B, Ts)
         scores = np.where(encoder.src_mask > 0, scores, -1e30)
         self.alpha = _softmax(scores)
-        self.ctx = (self.alpha[:, :, None] * self.annotations).sum(axis=1)
+        self.ctx = (self.alpha[:, None, :] @ self.annotations)[:, 0]
 
     def backward(self, p, dctx, grads):
-        """Returns (ds_prev, d_annotations, d_u_cached)."""
-        d_alpha = np.einsum("bd,btd->bt", dctx, self.annotations)
-        d_annotations = self.alpha[:, :, None] * dctx[:, None, :]
+        """Returns (ds_prev, d_u_cached). The gradient reaching the
+        annotations through the context is alpha @ dctx, which backward_batch
+        forms for all steps at once."""
+        d_alpha = (self.annotations @ dctx[:, :, None])[:, :, 0]
         inner = (d_alpha * self.alpha).sum(axis=1, keepdims=True)
         d_scores = self.alpha * (d_alpha - inner)
-        grads["att_v"] += np.einsum("bt,bta->a", d_scores, self.g)
-        dg = d_scores[:, :, None] * p["att_v"]
-        dpre = dg * (1.0 - self.g**2)
-        grads["att_b"] += dpre.sum(axis=(0, 1))
+        grads["att_v"] += d_scores.ravel() @ self.g.reshape(-1, self.g.shape[2])
+        dpre = (1.0 - self.g**2) * p["att_v"]
+        dpre *= d_scores[:, :, None]
         dq = dpre.sum(axis=1)
         grads["att_W"] += dq.T @ self.s_prev
-        ds_prev = dq @ p["att_W"]
-        return ds_prev, d_annotations, dpre
+        return dq @ p["att_W"], dpre
 
 
 class _DecoderStep:
@@ -343,44 +344,44 @@ def forward_batch(
 
 
 def backward_batch(model: Seq2SeqModel, cache: _ForwardCache) -> dict[str, np.ndarray]:
-    """Gradients of the mean per-token cross-entropy for every parameter."""
+    """Gradients of the mean per-token cross-entropy for every parameter.
+
+    The output layer and the context's path to the annotations are computed
+    for all T steps at once; the decoder GRU and the attention scores are
+    back-propagated step by step."""
     p = model.params
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     enc = cache.encoder
     b, tt = cache.tgt_in.shape
     e, h = model.embedding_dim, model.hidden_dim
     ctx_dim = model.ctx_dim
-    rows = np.arange(b)
 
-    d_annotations = np.zeros_like(enc.annotations)
+    # output layer over (T*B) rows: softmax minus one-hot, masked and scaled
+    dlogits = np.stack(cache.logps)  # (T, B, V)
+    np.exp(dlogits, out=dlogits)
+    dlogits[np.arange(tt)[:, None], np.arange(b), cache.tgt_out.T] -= 1.0
+    dlogits *= (cache.tgt_mask.T / cache.n_tokens)[:, :, None]
+    dlogits = dlogits.reshape(tt * b, -1)
+    feat = np.stack([step.feat for step in cache.steps]).reshape(tt * b, -1)
+    grads["out_W"] += dlogits.T @ feat
+    grads["out_b"] += dlogits.sum(axis=0)
+    dfeat = (dlogits @ p["out_W"]).reshape(tt, b, -1)
+    de_prev = dfeat[:, :, h + ctx_dim :]  # (T, B, E), completed in the loop
+
+    dctx = np.empty((b, tt, ctx_dim))
     d_u = np.zeros_like(enc.u_cached)
     ds = np.zeros((b, h))
-
     for t in reversed(range(tt)):
         step = cache.steps[t]
-        dlogits = np.exp(step.logp)
-        dlogits[rows, cache.tgt_out[:, t]] -= 1.0
-        dlogits *= cache.tgt_mask[:, t][:, None] / cache.n_tokens
+        dx, ds_prev = step.gru.backward(p, "dec", ds + dfeat[t, :, :h], grads)
+        de_prev[t] += dx[:, :e]
+        np.add(dfeat[t, :, h : h + ctx_dim], dx[:, e:], out=dctx[:, t])
+        ds_att, d_u_t = step.att.backward(p, dctx[:, t], grads)
+        d_u += d_u_t
+        ds = ds_prev + ds_att
 
-        grads["out_W"] += dlogits.T @ step.feat
-        grads["out_b"] += dlogits.sum(axis=0)
-        dfeat = dlogits @ p["out_W"]
-        ds_t = ds + dfeat[:, :h]
-        dctx = dfeat[:, h : h + ctx_dim]
-        de_prev = dfeat[:, h + ctx_dim :]
-
-        dx, ds_prev = step.gru.backward(p, "dec", ds_t, grads)
-        de_prev += dx[:, :e]
-        dctx += dx[:, e:]
-
-        ds_att, d_ann_t, dpre_t = step.att.backward(p, dctx, grads)
-        ds_prev += ds_att
-        d_annotations += d_ann_t
-        d_u += dpre_t
-
-        np.add.at(grads["tgt_emb"], cache.tgt_in[:, t], de_prev)
-        ds = ds_prev
-
+    np.add.at(grads["tgt_emb"], cache.tgt_in.T, de_prev)
+    d_annotations = np.stack([step.att.alpha for step in cache.steps], axis=2) @ dctx
     enc.backward(model, d_annotations, d_u, ds, grads)
     return grads
 

@@ -216,7 +216,7 @@ def write_weights(path: str | Path, weights: Mapping[str, float]) -> None:
 
 def read_weights(path: str | Path) -> FeatureWeights:
     """Inverse of write_weights. Blank lines are skipped; the format has no
-    comments; every weight is a finite number."""
+    comments; every weight is a finite number, and no feature is named twice."""
     weights = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -227,6 +227,8 @@ def read_weights(path: str | Path) -> FeatureWeights:
             if len(fields) != 2:
                 raise ParseError(f"{path}: line {lineno}: expected 'name<TAB>value'")
             name, value = fields
+            if name in weights:
+                raise ParseError(f"{path}: line {lineno}: feature {name!r} given twice")
             try:
                 weights[name] = finite_float(value)
             except ValueError:

@@ -443,3 +443,204 @@ def loss_and_grads(model, pairs):
 
     loss, cache = forward_batch(model, *batch_arrays(pairs))
     return loss, backward_batch(model, cache)
+
+
+
+def _softmax_reference(x, log=False):
+    import numpy as np
+
+    shifted = x - x.max(axis=-1, keepdims=True)
+    if log:
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class _GruStepReference:
+    """One masked fused-gate GRU step, forward and backward, over the
+    model's `{prefix}_W`, `_b`, `_Uzr` and `_Uh` tensors."""
+
+    def __init__(self, p, prefix, x, h_prev, m):
+        import numpy as np
+
+        hd = h_prev.shape[1]
+        self.x, self.h_prev, self.m = x, h_prev, m
+        a = x @ p[prefix + "_W"].T + p[prefix + "_b"]
+        self.zr = 0.5 * (1.0 + np.tanh(0.5 * (a[:, : 2 * hd] + h_prev @ p[prefix + "_Uzr"].T)))
+        z, r = self.zr[:, :hd], self.zr[:, hd:]
+        self.c = np.tanh(a[:, 2 * hd :] + (r * h_prev) @ p[prefix + "_Uh"].T)
+        h_new = (1.0 - z) * h_prev + z * self.c
+        self.h = m[:, None] * h_new + (1.0 - m[:, None]) * h_prev
+
+    def backward(self, p, prefix, dh, grads):
+        """Returns (dx, dh_prev)."""
+        import numpy as np
+
+        hd = dh.shape[1]
+        z, r = self.zr[:, :hd], self.zr[:, hd:]
+        m = self.m[:, None]
+        dh_new = dh * m
+        dh_prev = dh * (1.0 - m) + dh_new * (1.0 - z)
+        dac = dh_new * z * (1.0 - self.c**2)
+        grads[prefix + "_Uh"] += dac.T @ (r * self.h_prev)
+        drh = dac @ p[prefix + "_Uh"]
+        dh_prev += drh * r
+        dzr = np.concatenate([dh_new * (self.c - self.h_prev), drh * self.h_prev], axis=1)
+        dazr = dzr * self.zr * (1.0 - self.zr)
+        da = np.concatenate([dazr, dac], axis=1)
+        grads[prefix + "_W"] += da.T @ self.x
+        grads[prefix + "_b"] += da.sum(axis=0)
+        grads[prefix + "_Uzr"] += dazr.T @ self.h_prev
+        dh_prev += dazr @ p[prefix + "_Uzr"]
+        return da @ p[prefix + "_W"], dh_prev
+
+
+class _EncoderReference:
+    """Bidirectional encoder, its initial decoder state `s0` and its
+    attention keys `u = annotations @ att_U.T` (without `att_b`)."""
+
+    def __init__(self, model, src_ids, src_mask):
+        import numpy as np
+
+        p = model.params
+        self.src_ids, self.src_mask = src_ids, src_mask
+        self.x = p["src_emb"][src_ids]
+        b, ts, _ = self.x.shape
+        self.directions = []
+        for prefix, positions in (("enc_f", range(ts)), ("enc_b", range(ts)[::-1])):
+            steps = [None] * ts
+            state = np.zeros((b, model.hidden_dim))
+            for j in positions:
+                steps[j] = _GruStepReference(p, prefix, self.x[:, j], state, src_mask[:, j])
+                state = steps[j].h
+            self.directions.append((prefix, positions, steps))
+        self.annotations = np.concatenate(
+            [np.stack([s.h for s in steps], axis=1) for _, _, steps in self.directions], axis=2
+        )
+        self.lengths = src_mask.sum(axis=1)
+        self.mean = (self.annotations * src_mask[:, :, None]).sum(axis=1) / self.lengths[:, None]
+        self.s0 = np.tanh(self.mean @ p["init_W"].T + p["init_b"])
+        self.u = self.annotations @ p["att_U"].T
+
+    def backward(self, model, d_annotations, d_u, ds0, grads):
+        import numpy as np
+
+        p = model.params
+        h = model.hidden_dim
+        dpre0 = ds0 * (1.0 - self.s0**2)
+        grads["init_W"] += dpre0.T @ self.mean
+        grads["init_b"] += dpre0.sum(axis=0)
+        d_mean = dpre0 @ p["init_W"]
+        grads["att_U"] += np.einsum("bta,btd->ad", d_u, self.annotations)
+        d_annotations += d_u @ p["att_U"]
+        dh_all = d_annotations + (
+            d_mean[:, None, :] * self.src_mask[:, :, None] / self.lengths[:, None, None]
+        )
+        dx = np.zeros_like(self.x)
+        for k, (prefix, positions, steps) in enumerate(self.directions):
+            carry = np.zeros_like(ds0)
+            for j in reversed(positions):
+                dxj, carry = steps[j].backward(
+                    p, prefix, dh_all[:, j, k * h : (k + 1) * h] + carry, grads
+                )
+                dx[:, j] += dxj
+        np.add.at(grads["src_emb"], self.src_ids, dx)
+
+
+class _AttentionStepReference:
+    """Additive attention with broadcast-multiply-reduce contractions and a
+    per-step `att_b`: the reference for `nmt.model`'s attention step."""
+
+    def __init__(self, p, s_prev, encoder):
+        import numpy as np
+
+        self.s_prev = s_prev
+        self.annotations = encoder.annotations
+        self.q = s_prev @ p["att_W"].T  # (B, A)
+        self.g = np.tanh(self.q[:, None, :] + encoder.u + p["att_b"])  # (B,Ts,A)
+        scores = self.g @ p["att_v"]  # (B, Ts)
+        scores = np.where(encoder.src_mask > 0, scores, -1e30)
+        self.alpha = _softmax_reference(scores)
+        self.ctx = (self.alpha[:, :, None] * self.annotations).sum(axis=1)
+
+    def backward(self, p, dctx, grads):
+        """Returns (ds_prev, d_annotations, d_u)."""
+        import numpy as np
+
+        d_alpha = np.einsum("bd,btd->bt", dctx, self.annotations)
+        d_annotations = self.alpha[:, :, None] * dctx[:, None, :]
+        inner = (d_alpha * self.alpha).sum(axis=1, keepdims=True)
+        d_scores = self.alpha * (d_alpha - inner)
+        grads["att_v"] += np.einsum("bt,bta->a", d_scores, self.g)
+        dg = d_scores[:, :, None] * p["att_v"]
+        dpre = dg * (1.0 - self.g**2)
+        grads["att_b"] += dpre.sum(axis=(0, 1))
+        dq = dpre.sum(axis=1)
+        grads["att_W"] += dq.T @ self.s_prev
+        ds_prev = dq @ p["att_W"]
+        return ds_prev, d_annotations, dpre
+
+
+def forward_backward_reference(model, pairs):
+    """Loss, per-step (B, V) logps and gradients of one padded batch of
+    (source ids, target ids) pairs, with the output layer and every
+    attention contraction computed step by step: the reference for
+    `nmt.model.forward_batch` and `backward_batch`."""
+    import numpy as np
+
+    from apeforge.nmt.model import batch_arrays
+
+    p = model.params
+    src_ids, src_mask, tgt_in, tgt_out, tgt_mask = batch_arrays(pairs)
+    enc = _EncoderReference(model, src_ids, src_mask)
+    b, tt = tgt_in.shape
+    e, h = model.embedding_dim, model.hidden_dim
+    ctx_dim = 2 * h
+    rows = np.arange(b)
+    n_tokens = tgt_mask.sum()
+
+    state = enc.s0
+    steps = []
+    loss = 0.0
+    for t in range(tt):
+        att = _AttentionStepReference(p, state, enc)
+        e_prev = p["tgt_emb"][tgt_in[:, t]]
+        x = np.concatenate([e_prev, att.ctx], axis=1)
+        gru = _GruStepReference(p, "dec", x, state, tgt_mask[:, t])
+        feat = np.concatenate([gru.h, att.ctx, e_prev], axis=1)
+        logp = _softmax_reference(feat @ p["out_W"].T + p["out_b"], log=True)
+        loss -= (logp[rows, tgt_out[:, t]] * tgt_mask[:, t]).sum()
+        steps.append((att, gru, feat, logp))
+        state = gru.h
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    d_annotations = np.zeros_like(enc.annotations)
+    d_u = np.zeros_like(enc.u)
+    ds = np.zeros((b, h))
+    for t in reversed(range(tt)):
+        att, gru, feat, logp = steps[t]
+        dlogits = np.exp(logp)
+        dlogits[rows, tgt_out[:, t]] -= 1.0
+        dlogits *= tgt_mask[:, t][:, None] / n_tokens
+
+        grads["out_W"] += dlogits.T @ feat
+        grads["out_b"] += dlogits.sum(axis=0)
+        dfeat = dlogits @ p["out_W"]
+        ds_t = ds + dfeat[:, :h]
+        dctx = dfeat[:, h : h + ctx_dim]
+        de_prev = dfeat[:, h + ctx_dim :]
+
+        dx, ds_prev = gru.backward(p, "dec", ds_t, grads)
+        de_prev += dx[:, :e]
+        dctx += dx[:, e:]
+
+        ds_att, d_ann_t, dpre_t = att.backward(p, dctx, grads)
+        ds_prev += ds_att
+        d_annotations += d_ann_t
+        d_u += dpre_t
+
+        np.add.at(grads["tgt_emb"], tgt_in[:, t], de_prev)
+        ds = ds_prev
+
+    enc.backward(model, d_annotations, d_u, ds, grads)
+    return float(loss / n_tokens), [logp for _, _, _, logp in steps], grads

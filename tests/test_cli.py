@@ -1182,6 +1182,18 @@ def _non_finite_config_weight(tmp_path):
     return args, f"{cfg}: line 1: 'inf' is not a finite number"
 
 
+def _repeated_weight_name(tmp_path):
+    args, _ = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=1")
+    weights = tmp_path / "weights.txt"
+    write(weights, ["m\t1.0", "m\t2.0"])
+    return args + ["--weights", str(weights)], f"{weights}: line 2: feature 'm' given twice"
+
+
+def _config_field_without_equals(tmp_path):
+    args, cfg = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight")
+    return args, f"{cfg}: line 1: field 'weight' is not key=value"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1207,6 +1219,8 @@ def _non_finite_config_weight(tmp_path):
         _nonpositive_mix_factor,
         _non_finite_weights_file,
         _non_finite_config_weight,
+        _repeated_weight_name,
+        _config_field_without_equals,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

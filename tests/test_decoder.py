@@ -538,3 +538,11 @@ class TestConfigParsing:
     def test_missing_field(self):
         with pytest.raises(AssemblyError, match="line 1"):
             parse_decoder_config("scorer m model=x weight=1\n")
+
+    @pytest.mark.parametrize(
+        "line", ["scorer m model=x input=mt weight", "feature pep input=mt weight"]
+    )
+    def test_field_without_equals(self, line):
+        text = "scorer m model=x input=mt weight=1\n" + line + "\n"
+        with pytest.raises(AssemblyError, match="line 2: field 'weight' is not key=value$"):
+            parse_decoder_config(text)

@@ -26,6 +26,7 @@ from apeforge.nmt import (
 )
 from apeforge.nmt.model import (
     _GruStep,
+    backward_batch,
     batch_arrays,
     forward_batch,
     pad_batch,
@@ -34,7 +35,7 @@ from apeforge.nmt.model import (
 from apeforge.nmt.training import clip_gradients
 
 from conftest import copy_task_pairs
-from helpers import gru_step_reference, loss_and_grads
+from helpers import forward_backward_reference, gru_step_reference, loss_and_grads
 
 
 def tiny_model(seed=3, e=7, h=5):
@@ -150,6 +151,39 @@ class TestFusedGru:
         ):
             stacked = np.concatenate([ref[f"{prefix}_{g}"] for g in per_gate])
             close(grads[f"{prefix}_{fused}"], stacked)
+
+
+class TestKernelMatchesReference:
+    """forward_batch and backward_batch against the step-by-step reference
+    in helpers, on padded batches whose source and target lengths differ
+    row by row and from each other."""
+
+    @pytest.mark.parametrize("rows, seed", [(1, 0), (3, 1), (7, 2)])
+    def test_loss_logps_and_gradients(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        sv = Vocab([f"s{i}" for i in range(9)])
+        tv = Vocab([f"t{i}" for i in range(7)])
+        model = init_model(sv, tv, embedding_dim=6, hidden_dim=8, seed=seed)
+        pairs = [
+            (
+                rng.integers(Vocab.UNK, len(sv), size=rng.integers(1, 9)).tolist(),
+                rng.integers(Vocab.UNK, len(tv), size=rng.integers(1, 7)).tolist(),
+            )
+            for _ in range(rows)
+        ]
+        loss, cache = forward_batch(model, *batch_arrays(pairs))
+        grads = backward_batch(model, cache)
+        ref_loss, ref_logps, ref_grads = forward_backward_reference(model, pairs)
+
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        assert len(cache.logps) == len(ref_logps)
+        for got, ref in zip(cache.logps, ref_logps):
+            np.testing.assert_allclose(got, ref, rtol=1e-10)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            scale = np.abs(ref).max()
+            assert scale > 0, name
+            assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
 
 
 class TestBatching:

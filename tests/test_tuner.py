@@ -304,6 +304,7 @@ class TestWeightsFile:
         [
             ("mt 0.5\n", "line 1: expected 'name<TAB>value'"),
             ("mt\t0.5\n\npep\tabc\n", "line 3: bad weight 'abc' for 'pep'"),
+            ("mt\t0.5\npep\t1\nmt\t2\n", "line 3: feature 'mt' given twice"),
         ],
     )
     def test_malformed_line_rejected(self, tmp_path, text, message):
