@@ -127,6 +127,13 @@ def assemble(bindings: Sequence[ScorerBinding]) -> Vocab:
     return vocab
 
 
+def feature_names(
+    bindings: Sequence[ScorerBinding], pep: PepFeature | None
+) -> list[str]:
+    """The ensemble's feature names: one per scorer, then `pep` if present."""
+    return [b.name for b in bindings] + ([PEP_NAME] if pep is not None else [])
+
+
 def decode(
     bindings: Sequence[ScorerBinding],
     pep: PepFeature | None = None,
@@ -151,11 +158,7 @@ def decode(
     vocab = assemble(bindings)
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    n_scorers = len(bindings)
-    names = [b.name for b in bindings] + ([PEP_NAME] if pep is not None else [])
-    weights = np.array(
-        [b.weight for b in bindings] + ([pep.weight] if pep is not None else [])
-    )
+    names = feature_names(bindings, pep)
     pep_vec = pep.vector(len(vocab)) if pep is not None else None
 
     # live hypotheses, one row each: emitted ids, feature totals, raw score
@@ -169,13 +172,11 @@ def decode(
 
     for _ in range(cap):
         logps = []
+        inc = np.zeros((len(ids), len(vocab)))
         for i, binding in enumerate(bindings):
             lp, states[i] = binding.scorer.step(states[i], moves)
             logps.append(lp)
-
-        inc = np.zeros((len(ids), len(vocab)))
-        for w, lp in zip(weights[:n_scorers], logps):
-            inc += w * lp
+            inc += binding.weight * lp
         if pep_vec is not None:
             inc += pep.weight * pep_vec
         scores = (combined[:, None] + inc).ravel()
@@ -303,44 +304,59 @@ class DecoderConfig:
     pep: tuple[str, float] | None = None  # (input selector, weight)
 
 
-def _key_values(fields: list[str]) -> dict[str, str]:
-    """A config line's `key=value` fields as a dict."""
+def _key_values(fields: list[str], keys: Sequence[str]) -> dict[str, str]:
+    """A config line's `key=value` fields as a dict; each of `keys` must be
+    given exactly once, and no other key."""
     kv = {}
     for f in fields:
         key, eq, value = f.partition("=")
         if not eq:
             raise ValueError(f"field {f!r} is not key=value")
+        if key not in keys:
+            raise ValueError(f"unknown field {key!r} (expected {', '.join(keys)})")
+        if key in kv:
+            raise ValueError(f"field {key!r} given twice")
         kv[key] = value
+    missing = [k for k in keys if k not in kv]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
     return kv
 
 
 def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
     """Line format: `scorer <name> model=<path> input=mt|src weight=<w>` or
-    `feature pep input=mt|union weight=<w>`; '#' starts a comment. Error
-    messages start with `source`."""
+    `feature pep input=mt|union weight=<w>`; '#' starts a comment. Every
+    field is required and given once; scorer names are unique and not
+    `pep`. Error messages start with `source`."""
     scorers = []
     pep = None
     for lineno, line in config_lines(text):
-        fields = line.split()
+        directive, *fields = line.split()
         try:
-            if fields[0] == "scorer":
-                name = fields[1]
-                kv = _key_values(fields[2:])
+            if directive not in ("scorer", "feature"):
+                raise ValueError(f"unknown directive {directive!r}")
+            if not fields:
+                raise ValueError(f"{directive} line has no name")
+            name, *fields = fields
+            if directive == "scorer":
+                kv = _key_values(fields, ("model", "input", "weight"))
+                if name == PEP_NAME:
+                    raise ValueError(f"scorer name {PEP_NAME!r} is reserved")
+                if name in (s[0] for s in scorers):
+                    raise ValueError(f"scorer {name!r} declared twice")
                 if kv["input"] not in ("mt", "src"):
                     raise ValueError(f"bad scorer input {kv['input']!r}")
                 scorers.append((name, kv["model"], kv["input"], finite_float(kv["weight"])))
-            elif fields[0] == "feature":
-                if fields[1] != PEP_NAME:
-                    raise ValueError(f"unknown feature {fields[1]!r}")
-                kv = _key_values(fields[2:])
+            else:
+                if name != PEP_NAME:
+                    raise ValueError(f"unknown feature {name!r}")
+                kv = _key_values(fields, ("input", "weight"))
                 if kv["input"] not in ("mt", "union"):
                     raise ValueError(f"bad feature input {kv['input']!r}")
                 if pep is not None:
                     raise ValueError("duplicate pep feature")
                 pep = (kv["input"], finite_float(kv["weight"]))
-            else:
-                raise ValueError(f"unknown directive {fields[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise AssemblyError(f"{source}: line {lineno}: {exc}") from exc
     if not scorers:
         raise AssemblyError(f"{source}: config declares no scorers")

@@ -97,8 +97,8 @@ class Seq2SeqModel:
 def init_model(
     src_vocab: Vocab,
     tgt_vocab: Vocab,
-    embedding_dim: int = 500,
-    hidden_dim: int = 1024,
+    embedding_dim: int,
+    hidden_dim: int,
     seed: int = 0,
 ) -> Seq2SeqModel:
     """Fresh model with uniform(-0.08, 0.08) parameters, seeded; tensors are

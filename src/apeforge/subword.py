@@ -50,10 +50,14 @@ class BpeModel:
         return vocab
 
     @cached_property
-    def applier(self) -> "BpeApplier":
-        """The model's applier, built once so its token cache is shared by
-        every apply_bpe call on this model."""
-        return BpeApplier(self)
+    def _ranks(self) -> dict[tuple[str, str], int]:
+        return {pair: i for i, pair in enumerate(self.merges)}
+
+    @cached_property
+    def _segments(self) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Per distinct token, its units and its unknown characters; built
+        once per model and shared by every apply_bpe call on it."""
+        return {}
 
 
 def _word_symbols(token: str) -> tuple[str, ...]:
@@ -135,63 +139,20 @@ def learn_bpe(corpus: Iterable[Sentence], merge_count: int) -> BpeModel:
     return BpeModel(merges=tuple(merges), base_symbols=base)
 
 
-class BpeApplier:
-    """Applies a learned model to sentences, caching per-token segmentations."""
-
-    def __init__(self, model: BpeModel):
-        self.model = model
-        self.ranks = {pair: i for i, pair in enumerate(model.merges)}
-        self._cache: dict[str, tuple[tuple[str, ...], int]] = {}
-
-    def segment_token(self, token: str) -> tuple[tuple[str, ...], int]:
-        """Split one token into units; also returns its unknown-character count."""
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
-        syms = list(_word_symbols(token))
-        unknown = sum(1 for ch in token if ch not in self.model.base_symbols)
-        while len(syms) > 1:
-            best_rank = None
-            for a, b in zip(syms, syms[1:]):
-                rank = self.ranks.get((a, b))
-                if rank is not None and (best_rank is None or rank < best_rank):
-                    best_rank = rank
-            if best_rank is None:
-                break
-            syms = list(_merge_word(tuple(syms), self.model.merges[best_rank]))
-        units = _strip_end_marker(syms)
-        marked = tuple(
-            u + CONTINUATION if i < len(units) - 1 else u for i, u in enumerate(units)
-        )
-        self._cache[token] = (marked, unknown)
-        return marked, unknown
-
-    def __call__(
-        self, sent: Sequence[str], unknown_counts: Counter | None = None
-    ) -> Sentence:
-        out: list[str] = []
-        for token in sent:
-            if token.endswith(CONTINUATION):
-                raise SubwordError(
-                    f"token {token!r} already carries a continuation marker; "
-                    "refusing to segment twice"
-                )
-            units, unknown = self.segment_token(token)
-            if unknown and unknown_counts is not None:
-                unknown_counts.update(
-                    ch for ch in token if ch not in self.model.base_symbols
-                )
-            out.extend(units)
-        return tuple(out)
-
-
-def _strip_end_marker(syms: Sequence[str]) -> list[str]:
-    units = list(syms)
-    if units and units[-1] == END_MARKER:
+def _segment(model: BpeModel, token: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """One token's continuation-marked units and its unknown characters."""
+    syms = _word_symbols(token)
+    while True:
+        ranks = [model._ranks[p] for p in zip(syms, syms[1:]) if p in model._ranks]
+        if not ranks:
+            break
+        syms = _merge_word(syms, model.merges[min(ranks)])
+    # the last symbol ends with the end marker; a bare marker is no unit
+    units = [*syms[:-1], syms[-1][: -len(END_MARKER)]]
+    if not units[-1]:
         units.pop()
-    elif units and units[-1].endswith(END_MARKER):
-        units[-1] = units[-1][: -len(END_MARKER)]
-    return units
+    marked = tuple(u + CONTINUATION for u in units[:-1]) + tuple(units[-1:])
+    return marked, tuple(ch for ch in token if ch not in model.base_symbols)
 
 
 def apply_bpe(
@@ -202,7 +163,22 @@ def apply_bpe(
     Characters missing from the model's base inventory stay single-character
     units; when `unknown_counts` is given, each such character increments it.
     """
-    return model.applier(sent, unknown_counts)
+    segments = model._segments
+    out: list[str] = []
+    for token in sent:
+        if token.endswith(CONTINUATION):
+            raise SubwordError(
+                f"token {token!r} already carries a continuation marker; "
+                "refusing to segment twice"
+            )
+        cached = segments.get(token)
+        if cached is None:
+            cached = segments[token] = _segment(model, token)
+        units, unknown = cached
+        if unknown and unknown_counts is not None:
+            unknown_counts.update(unknown)
+        out.extend(units)
+    return tuple(out)
 
 
 def revert_bpe(sent: Sequence[str]) -> Sentence:

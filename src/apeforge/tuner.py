@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import ParseError, Sentence, Triplet, finite_float
 from .decoder import (
-    PEP_NAME, NBestEntry, NBestList, PepFeature, ScorerBinding, decode, reweight,
+    NBestEntry, NBestList, PepFeature, ScorerBinding, decode, feature_names, reweight,
 )
 from .metrics import corpus_ter, ter
 
@@ -48,13 +48,19 @@ class TuneConfig:
             raise ValueError("mira_c must be positive")
 
 
-def _feature_row(entry, names: Sequence[str]) -> np.ndarray:
-    table = dict(entry.features)
-    if set(table) != set(names):
-        raise TunerConfigError(
-            f"entry features {sorted(table)} do not match weights {sorted(names)}"
-        )
-    return np.array([table[n] for n in names])
+def _feature_matrix(nbest: NBestList, names: Sequence[str]) -> np.ndarray:
+    """One row per entry: its feature values in `names` order."""
+    if not nbest.entries:
+        raise ValueError(f"sentence {nbest.sentence_id} has no entries")
+    rows = []
+    for entry in nbest.entries:
+        table = dict(entry.features)
+        if set(table) != set(names):
+            raise TunerConfigError(
+                f"entry features {sorted(table)} do not match weights {sorted(names)}"
+            )
+        rows.append([table[n] for n in names])
+    return np.array(rows)
 
 
 def rerank(lists: Sequence[NBestList], weights: FeatureWeights) -> list[Sentence]:
@@ -64,15 +70,8 @@ def rerank(lists: Sequence[NBestList], weights: FeatureWeights) -> list[Sentence
     w = np.array([weights[n] for n in names])
     out = []
     for nbest in lists:
-        if not nbest.entries:
-            raise ValueError(f"sentence {nbest.sentence_id} has no entries")
-        best = None
-        best_score = -np.inf
-        for entry in nbest.entries:
-            score = float(w @ _feature_row(entry, names))
-            if score > best_score:
-                best, best_score = entry, score
-        out.append(best.tokens)
+        best = int(np.argmax(_feature_matrix(nbest, names) @ w))
+        out.append(nbest.entries[best].tokens)
     return out
 
 
@@ -83,10 +82,6 @@ def rerank_corpus_ter(
 ) -> float:
     hyps = rerank(lists, weights)
     return corpus_ter(list(zip(hyps, references)))
-
-
-def _sentence_ter_fraction(tokens: Sentence, reference: Sentence) -> float:
-    return ter(tokens, reference).ter / 100.0
 
 
 def mira_epochs(
@@ -101,11 +96,8 @@ def mira_epochs(
     w = np.array([initial[n] for n in names])
     prepared = []
     for nbest, ref in zip(lists, references):
-        rows = np.stack([_feature_row(e, names) for e in nbest.entries])
-        costs = np.array(
-            [_sentence_ter_fraction(e.tokens, ref) for e in nbest.entries]
-        )
-        prepared.append((rows, costs))
+        costs = np.array([ter(e.tokens, ref).ter / 100.0 for e in nbest.entries])
+        prepared.append((_feature_matrix(nbest, names), costs))
 
     snapshots = []
     for _ in range(cfg.inner_epochs):
@@ -186,10 +178,7 @@ def tune(
     """
     if not dev:
         raise ValueError("dev set is empty")
-    probe_bindings, probe_pep = binding_factory(dev[0])
-    names = [b.name for b in probe_bindings]
-    if probe_pep is not None:
-        names.append(PEP_NAME)
+    names = feature_names(*binding_factory(dev[0]))
     initial = {n: 1.0 / len(names) for n in names}
     # per dev sentence, its distinct hypotheses in first-decoded order
     pool: list[dict[Sentence, NBestEntry]] = [{} for _ in dev]

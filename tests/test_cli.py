@@ -1194,6 +1194,11 @@ def _config_field_without_equals(tmp_path):
     return args, f"{cfg}: line 1: field 'weight' is not key=value"
 
 
+def _repeated_config_field(tmp_path):
+    args, cfg = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=1 weight=2")
+    return args, f"{cfg}: line 1: field 'weight' given twice"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1221,6 +1226,7 @@ def _config_field_without_equals(tmp_path):
         _non_finite_config_weight,
         _repeated_weight_name,
         _config_field_without_equals,
+        _repeated_config_field,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

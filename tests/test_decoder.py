@@ -1,5 +1,7 @@
 """Ensemble beam search, copy-bias feature, and n-best file handling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -546,3 +548,46 @@ class TestConfigParsing:
         text = "scorer m model=x input=mt weight=1\n" + line + "\n"
         with pytest.raises(AssemblyError, match="line 2: field 'weight' is not key=value$"):
             parse_decoder_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "scorer m model=x input=mt weight=1 weight=2",
+                "line 1: field 'weight' given twice", id="repeated-weight",
+            ),
+            pytest.param(
+                "feature pep input=mt input=union weight=1",
+                "line 1: field 'input' given twice", id="repeated-input",
+            ),
+            pytest.param(
+                "scorer m model=x weight=1", "line 1: missing field 'input'", id="missing-input"
+            ),
+            pytest.param(
+                "feature pep input=mt", "line 1: missing field 'weight'", id="missing-weight"
+            ),
+            pytest.param("scorer", "line 1: scorer line has no name", id="bare-scorer"),
+            pytest.param("feature", "line 1: feature line has no name", id="bare-feature"),
+            pytest.param(
+                "scorer m model=x input=mt weight=1 beam=5",
+                "line 1: unknown field 'beam' (expected model, input, weight)",
+                id="unknown-scorer-field",
+            ),
+            pytest.param(
+                "feature pep input=mt weight=1 model=x",
+                "line 1: unknown field 'model' (expected input, weight)",
+                id="unknown-feature-field",
+            ),
+            pytest.param(
+                "scorer m model=x input=mt weight=1\nscorer m model=y input=src weight=1",
+                "line 2: scorer 'm' declared twice", id="repeated-scorer-name",
+            ),
+            pytest.param(
+                "scorer pep model=x input=mt weight=1",
+                "line 1: scorer name 'pep' is reserved", id="scorer-named-pep",
+            ),
+        ],
+    )
+    def test_malformed_line_names_config_and_line(self, text, message):
+        with pytest.raises(AssemblyError, match=f"^{re.escape('<config>: ' + message)}$"):
+            parse_decoder_config(text + "\n")

@@ -129,8 +129,8 @@ class TestApply:
         again = apply_bpe(model, ["axb", "axb"], unknown_counts=counts)
         assert again == first + first
         assert counts == Counter({"x": 3})
-        assert model.applier is model.applier
-        assert "axb" in model.applier._cache
+        assert model._segments is model._segments
+        assert "axb" in model._segments
 
     def test_double_application_guard(self):
         model = learn_bpe([("abab",)] * 3, merge_count=1)

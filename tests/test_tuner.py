@@ -98,6 +98,35 @@ class TestRerank:
         ]
         assert rerank(lists, {"m": 1.0}) == [("a",)]
 
+    def test_ranks_with_the_matrix_product(self):
+        """Near-tie lists (rows a few ulps apart), where one `w @ row` per
+        entry and one `rows @ w` per list can round a score differently;
+        rerank must pick the first argmax of the matrix product, the scores
+        MIRA trains on."""
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            k, n = (int(v) for v in rng.integers(2, 4, size=2))
+            names = [f"f{j}" for j in range(k)]
+            base = rng.normal(size=k)
+            rows = base + rng.integers(-2, 3, size=(n, k)) * np.spacing(np.abs(base))
+            w = rng.normal(size=k)
+            nbest = NBestList(
+                sentence_id=0,
+                entries=tuple(
+                    entry((f"h{i}",), **dict(zip(names, map(float, row))))
+                    for i, row in enumerate(rows)
+                ),
+            )
+            expected = int(np.argmax(rows @ w))
+            assert rerank([nbest], dict(zip(names, map(float, w)))) == [(f"h{expected}",)]
+
+    def test_list_without_entries_is_named(self):
+        lists = [NBestList(0, (entry(("a",), m=-1.0),)), NBestList(1, ())]
+        with pytest.raises(ValueError, match="^sentence 1 has no entries$"):
+            rerank(lists, {"m": 1.0})
+        with pytest.raises(ValueError, match="^sentence 1 has no entries$"):
+            tune_on_lists(lists, [("a",), ("b",)], TuneConfig(), {"m": 1.0})
+
     def test_positive_scaling_invariant(self):
         lists, refs = synthetic_problem(6)
         w = {"neg_ter": 0.3, "noise": 0.7}
