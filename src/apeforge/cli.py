@@ -27,14 +27,7 @@ from .corpus import (
     write_sentences,
     write_triplets,
 )
-from .decoder import (
-    PEP_NAME,
-    Ensemble,
-    decode as beam_decode,
-    parse_decoder_config,
-    reweight,
-    write_nbest,
-)
+from .decoder import Ensemble, decode as beam_decode, reweight, write_nbest
 from .metrics import bleu, corpus_ter, ter
 from .ngram_lm import (
     corpus_cross_entropy,
@@ -420,19 +413,14 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     is the best non-empty hypothesis of the whole beam, or the MT line
     when every hypothesis is empty.
     """
-    config = parse_decoder_config(
-        Path(config_path).read_text(encoding="utf-8"), source=config_path
-    )
     weights = read_weights(weights_path) if weights_path is not None else {}
-    features = [name for name, *_ in config.scorers]
-    features += [PEP_NAME] if config.pep is not None else []
+    ensemble = Ensemble(config_path)
     for name in weights:
-        if name not in features:
+        if name not in ensemble.feature_names:
             raise click.ClickException(
                 f"{weights_path}: feature {name!r} is not in the ensemble "
-                f"({', '.join(features)})"
+                f"({', '.join(ensemble.feature_names)})"
             )
-    ensemble = Ensemble(config)
     if src_path is None and ensemble.needs_src():
         raise click.UsageError("config references src input but --src not given")
     paths = [mt_path] if src_path is None else [mt_path, src_path]
@@ -474,10 +462,7 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 @click.option("--out", "out_path", required=True, type=click.Path())
 def tune_cmd(dev_prefix, config_path, iterations, beam, mira_c, inner_epochs, seed, out_path):
     """Optimize feature weights toward lower TER on a dev triplet set."""
-    config = parse_decoder_config(
-        Path(config_path).read_text(encoding="utf-8"), source=config_path
-    )
-    ensemble = Ensemble(config)
+    ensemble = Ensemble(config_path)
     dev = read_triplets(dev_prefix)
     cfg = TuneConfig(
         outer_iterations=iterations,

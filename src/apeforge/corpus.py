@@ -107,11 +107,7 @@ class Vocab:
 
     @classmethod
     def from_corpus(cls, corpus: Iterable[Sequence[str]]) -> "Vocab":
-        units: dict[str, None] = {}
-        for sent in corpus:
-            for tok in sent:
-                units.setdefault(tok)
-        return cls(units)
+        return cls(tok for sent in corpus for tok in sent)
 
 
 def sentence(line: str) -> Sentence:

@@ -127,11 +127,9 @@ def assemble(bindings: Sequence[ScorerBinding]) -> Vocab:
     return vocab
 
 
-def feature_names(
-    bindings: Sequence[ScorerBinding], pep: PepFeature | None
-) -> list[str]:
+def feature_names(scorer_names: Iterable[str], pep: object | None) -> list[str]:
     """The ensemble's feature names: one per scorer, then `pep` if present."""
-    return [b.name for b in bindings] + ([PEP_NAME] if pep is not None else [])
+    return list(scorer_names) + ([PEP_NAME] if pep is not None else [])
 
 
 def decode(
@@ -158,7 +156,7 @@ def decode(
     vocab = assemble(bindings)
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    names = feature_names(bindings, pep)
+    names = feature_names((b.name for b in bindings), pep)
     pep_vec = pep.vector(len(vocab)) if pep is not None else None
 
     # live hypotheses, one row each: emitted ids, feature totals, raw score
@@ -259,7 +257,6 @@ def write_nbest(lists: Iterable[NBestList], path: str | Path) -> None:
 def read_nbest(path: str | Path) -> list[NBestList]:
     """Inverse of write_nbest (tokens unescaped); entries grouped by sentence id."""
     grouped: dict[int, list[NBestEntry]] = {}
-    order: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -286,12 +283,10 @@ def read_nbest(path: str | Path) -> list[NBestList]:
                 features=tuple(feats),
                 combined=combined,
             )
-            if sid not in grouped:
-                grouped[sid] = []
-                order.append(sid)
-            grouped[sid].append(entry)
+            grouped.setdefault(sid, []).append(entry)
     return [
-        NBestList(sentence_id=sid, entries=tuple(grouped[sid])) for sid in order
+        NBestList(sentence_id=sid, entries=tuple(entries))
+        for sid, entries in grouped.items()
     ]
 
 
@@ -364,10 +359,13 @@ def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
 
 
 class Ensemble:
-    """Decoder config resolved against its model files."""
+    """A decoder config file resolved against its model files."""
 
-    def __init__(self, config: DecoderConfig):
-        self.config = config
+    def __init__(self, config_path: str | Path):
+        self.config = config = parse_decoder_config(
+            Path(config_path).read_text(encoding="utf-8"), source=str(config_path)
+        )
+        self.feature_names = feature_names((s[0] for s in config.scorers), config.pep)
         self.models = {}
         for name, model_path, _sel, _w in config.scorers:
             model = ckpt.load(model_path)

@@ -66,11 +66,12 @@ _MODEL_MINIMUMS = {"embedding_dim": 1, "hidden_dim": 1, "init_seed": 0}
 
 
 def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
-    """`key value` lines; '#' comments. Returns the model keys, then the
-    training schedule as a TrainConfig. The model keys are either
-    {"fine_tune_from": checkpoint path}, whose checkpoint fixes the sizes,
-    so embedding_dim, hidden_dim and init_seed are an error beside it, or
-    init_model keyword arguments (embedding_dim, hidden_dim, seed)."""
+    """`key value` lines, each key at most once; '#' comments. Returns the
+    model keys, then the training schedule as a TrainConfig. The model keys
+    are either {"fine_tune_from": checkpoint path}, whose checkpoint fixes
+    the sizes, so embedding_dim, hidden_dim and init_seed are an error
+    beside it, or init_model keyword arguments (embedding_dim, hidden_dim,
+    seed)."""
     values = {}
     for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
         fields = line.split()
@@ -79,6 +80,8 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
         key, value = fields
         if key not in _KEY_TYPES:
             raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"{path}: line {lineno}: key {key!r} given twice")
         try:
             values[key] = _KEY_TYPES[key](value)
         except ValueError:

@@ -15,6 +15,7 @@ import os
 import shlex
 import time
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -74,8 +75,8 @@ class NoiseSpec:
 
 
 def read_confusion(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Confusion table: one `token alternative...` line per token; a line
-    starting with '#' is a comment."""
+    """Confusion table: one `token alternative...` line per token, each
+    token on one line only; a line starting with '#' is a comment."""
     table = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -85,6 +86,8 @@ def read_confusion(path: str | Path) -> dict[str, tuple[str, ...]]:
             fields = line.split()
             if len(fields) < 2:
                 raise ParseError(f"{path}: line {lineno}: expected 'token alternative...'")
+            if fields[0] in table:
+                raise ParseError(f"{path}: line {lineno}: token {fields[0]!r} given twice")
             table[fields[0]] = tuple(fields[1:])
     return table
 
@@ -284,12 +287,20 @@ def _checksums(workspace: Path, rel_paths: Sequence[str]) -> dict[str, str]:
     return {rel: _sha256(workspace / rel) for rel in sorted(rel_paths)}
 
 
+def _record(workspace: Path, stage: Stage) -> dict:
+    """A stage's manifest record: the checksums of its inputs and outputs."""
+    return {
+        "inputs": _checksums(workspace, stage.inputs),
+        "outputs": _checksums(workspace, stage.outputs),
+    }
+
+
 def _topological_order(stages: Sequence[Stage]) -> list[Stage]:
-    by_name = {}
+    names: set[str] = set()
     for stage in stages:
-        if stage.name in by_name:
+        if stage.name in names:
             raise PipelineConfigError(f"duplicate stage name {stage.name!r}")
-        by_name[stage.name] = stage
+        names.add(stage.name)
     producer: dict[str, str] = {}
     for stage in stages:
         for out in stage.outputs:
@@ -300,35 +311,27 @@ def _topological_order(stages: Sequence[Stage]) -> list[Stage]:
                 )
             producer[out] = stage.name
 
-    edges: dict[str, set[str]] = {s.name: set() for s in stages}
+    graph: TopologicalSorter[str] = TopologicalSorter()
     for stage in stages:
         for dep in stage.deps:
-            if dep not in by_name:
+            if dep not in names:
                 raise PipelineConfigError(
                     f"stage {stage.name!r} depends on unknown stage {dep!r}"
                 )
-            edges[stage.name].add(dep)
-        for rel in stage.inputs:
-            if rel in producer and producer[rel] != stage.name:
-                edges[stage.name].add(producer[rel])
+        made_by = (producer[rel] for rel in stage.inputs if rel in producer)
+        graph.add(stage.name, *stage.deps, *(p for p in made_by if p != stage.name))
+    try:
+        graph.prepare()
+    except CycleError as exc:
+        cycle = ", ".join(sorted(set(exc.args[1])))
+        raise PipelineConfigError(f"stage cycle among: {cycle}") from None
 
-    # Kahn's algorithm, ready stages taken in declaration order
-    index = {s.name: i for i, s in enumerate(stages)}
-    pending = {name: set(deps) for name, deps in edges.items()}
+    # each wave of ready stages is taken in declaration order
     ordered: list[Stage] = []
-    while pending:
-        ready = sorted(
-            (name for name, deps in pending.items() if not deps),
-            key=index.__getitem__,
-        )
-        if not ready:
-            cycle = ", ".join(sorted(pending))
-            raise PipelineConfigError(f"stage cycle among: {cycle}")
-        for name in ready:
-            ordered.append(by_name[name])
-            del pending[name]
-        for deps in pending.values():
-            deps.difference_update(ready)
+    while graph.is_active():
+        ready = graph.get_ready()
+        ordered.extend(s for s in stages if s.name in ready)
+        graph.done(*ready)
     return ordered
 
 
@@ -345,10 +348,7 @@ def _stage_unchanged(workspace: Path, stage: Stage, record: dict | None) -> bool
     for rel in (*stage.inputs, *stage.outputs):
         if not (workspace / rel).exists():
             return False
-    return record == {
-        "inputs": _checksums(workspace, stage.inputs),
-        "outputs": _checksums(workspace, stage.outputs),
-    }
+    return record == _record(workspace, stage)
 
 
 def run(workspace: str | Path, stages: Sequence[Stage]) -> RunReport:
@@ -392,10 +392,7 @@ def run(workspace: str | Path, stages: Sequence[Stage]) -> RunReport:
                 raise PipelineError(
                     f"stage {stage.name!r} did not produce output {rel!r}"
                 )
-        manifest["stages"][stage.name] = {
-            "inputs": _checksums(workspace, stage.inputs),
-            "outputs": _checksums(workspace, stage.outputs),
-        }
+        manifest["stages"][stage.name] = _record(workspace, stage)
         _write_manifest(workspace, manifest)
         log.info(
             "stage %s: inputs=%s outputs=%s wall=%.3fs",

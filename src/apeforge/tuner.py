@@ -178,7 +178,8 @@ def tune(
     """
     if not dev:
         raise ValueError("dev set is empty")
-    names = feature_names(*binding_factory(dev[0]))
+    bindings, pep = binding_factory(dev[0])
+    names = feature_names((b.name for b in bindings), pep)
     initial = {n: 1.0 / len(names) for n in names}
     # per dev sentence, its distinct hypotheses in first-decoded order
     pool: list[dict[Sentence, NBestEntry]] = [{} for _ in dev]

@@ -1199,6 +1199,27 @@ def _repeated_config_field(tmp_path):
     return args, f"{cfg}: line 1: field 'weight' given twice"
 
 
+def _repeated_train_config_key(tmp_path):
+    args, _ = _all_training_pairs_overlong(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    write(cfg, ["batch_size 2", "batch_size 3"])
+    return args, f"{cfg}: line 2: key 'batch_size' given twice"
+
+
+def _repeated_confusion_token(tmp_path):
+    table = tmp_path / "confusion.txt"
+    write(table, ["a b c", "a d"])
+    write(tmp_path / "pe.txt", ["a b a"])
+    args = [
+        "synth", "corrupt",
+        "--pe", str(tmp_path / "pe.txt"),
+        "--out", str(tmp_path / "out"),
+        "--substitution", "1.0",
+        "--confusion", str(table),
+    ]
+    return args, f"{table}: line 2: token 'a' given twice"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1227,6 +1248,8 @@ def _repeated_config_field(tmp_path):
         _repeated_weight_name,
         _config_field_without_equals,
         _repeated_config_field,
+        _repeated_train_config_key,
+        _repeated_confusion_token,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

@@ -268,6 +268,11 @@ class TestVocab:
         v = Vocab.from_corpus([("x", "y"), ("y", "z")])
         assert v.tokens[4:] == ["x", "y", "z"]
 
+    def test_from_corpus_keeps_reserved_ids(self):
+        v = Vocab.from_corpus([("x", "</s>"), ("<unk>", "y", "x")])
+        assert v.tokens == ["<pad>", "<s>", "</s>", "<unk>", "x", "y"]
+        assert v.id("</s>") == Vocab.EOS and v.id("<unk>") == Vocab.UNK
+
     def test_equality(self):
         assert Vocab(["a"]) == Vocab(["a"])
         assert Vocab(["a"]) != Vocab(["b"])

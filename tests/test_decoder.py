@@ -422,6 +422,18 @@ class TestNBestFiles:
         assert lists[0].entries == self.sample()[0].entries
         assert lists[1].entries == self.sample()[1].entries
 
+    def test_interleaved_ids_group_in_first_seen_order(self, tmp_path):
+        path = tmp_path / "n.best"
+        path.write_text(
+            "1 ||| a ||| m= -1.000000 ||| -1.000000\n"
+            "0 ||| b ||| m= -2.000000 ||| -2.000000\n"
+            "1 ||| c ||| m= -3.000000 ||| -3.000000\n"
+        )
+        lists = read_nbest(path)
+        assert [l.sentence_id for l in lists] == [1, 0]
+        assert [e.tokens for e in lists[0].entries] == [("a",), ("c",)]
+        assert [e.tokens for e in lists[1].entries] == [("b",)]
+
     def test_reserved_characters_round_trip(self, tmp_path):
         path = tmp_path / "n.best"
         tokens = ("|||", "&", "[", "a|b", "&amp;")

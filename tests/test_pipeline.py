@@ -292,6 +292,14 @@ class TestStageGraph:
         with pytest.raises(PipelineConfigError, match="cycle among: a, b"):
             run(tmp_path, [a, b])
 
+    def test_cycle_error_names_only_the_cycle(self, tmp_path):
+        a = Stage(name="a", action=lambda ws: None, deps=("b",))
+        b = Stage(name="b", action=lambda ws: None, deps=("a",))
+        c = Stage(name="c", action=lambda ws: None, deps=("a",))
+        with pytest.raises(PipelineConfigError) as exc:
+            run(tmp_path, [a, b, c])
+        assert str(exc.value) == "stage cycle among: a, b"
+
     def test_file_dependency_orders_stages(self, tmp_path):
         order = []
 
