@@ -22,6 +22,7 @@ from .corpus import (
     read_mix_spec,
     read_parallel,
     read_sentences,
+    read_text,
     read_triplets,
     wellformed_filter,
     write_sentences,
@@ -599,7 +600,7 @@ def run_cmd(config_path):
     """
     config_path = Path(config_path)
     declared, stages = parse_pipeline(
-        config_path.read_text(encoding="utf-8"), str(config_path), _stage_action
+        read_text(config_path), str(config_path), _stage_action
     )
     env = os.environ.get("APEFORGE_WORKSPACE")
     if env:

@@ -120,6 +120,33 @@ def sentence(line: str) -> Sentence:
     return tuple(map(sys.intern, line.split()))
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file, each with its newline, as text
+    mode reads them. The one way the toolkit opens text input: a byte that
+    is not UTF-8 is a ParseError naming the file and its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: line {_undecodable_line(path)}: not UTF-8") from None
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """Line number of the first byte in the file that is not UTF-8, counting
+    line ends as text mode does."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start]
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+
+
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 text file (see text_lines)."""
+    return "".join(line for _, line in text_lines(path))
+
+
 def config_lines(text: str) -> Iterator[tuple[int, str]]:
     """Numbered non-blank lines of a config file (train, decoder, pipeline),
     each stripped, with `#` starting a comment anywhere in the line."""
@@ -141,12 +168,11 @@ def finite_float(text: str) -> float:
 def read_sentences(path: str | Path) -> list[Sentence]:
     """Read one sentence per line; an empty line or file is a parse error."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            toks = sentence(line)
-            if not toks:
-                raise ParseError(f"{path}: empty line {lineno}")
-            out.append(toks)
+    for lineno, line in text_lines(path):
+        toks = sentence(line)
+        if not toks:
+            raise ParseError(f"{path}: empty line {lineno}")
+        out.append(toks)
     if not out:
         raise ParseError(f"{path}: no sentences")
     return out
@@ -243,21 +269,20 @@ def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
     """Parse a mix file: one `<corpus-prefix> <factor>` pair per line, each
     factor an integer >= 1."""
     parts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected '<prefix> <factor>'")
-            try:
-                factor = int(fields[1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad factor {fields[1]!r}")
-            if factor < 1:
-                raise ParseError(f"{path}: line {lineno}: factor {factor} must be >= 1")
-            parts.append((fields[0], factor))
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"{path}: line {lineno}: expected '<prefix> <factor>'")
+        try:
+            factor = int(fields[1])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad factor {fields[1]!r}")
+        if factor < 1:
+            raise ParseError(f"{path}: line {lineno}: factor {factor} must be >= 1")
+        parts.append((fields[0], factor))
     return parts
 
 

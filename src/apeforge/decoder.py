@@ -14,7 +14,10 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Sentence, Vocab, config_lines, escape, finite_float, unescape
+from .corpus import (
+    CorpusError, Sentence, Vocab, config_lines, escape, finite_float, read_text, text_lines,
+    unescape,
+)
 from .nmt import checkpoint as ckpt
 from .nmt.model import DecodeState, Seq2SeqModel
 
@@ -257,33 +260,32 @@ def write_nbest(lists: Iterable[NBestList], path: str | Path) -> None:
 def read_nbest(path: str | Path) -> list[NBestList]:
     """Inverse of write_nbest (tokens unescaped); entries grouped by sentence id."""
     grouped: dict[int, list[NBestEntry]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            parts = line.split(" ||| ")
-            if len(parts) != 4:
-                raise NBestParseError(f"{path}: line {lineno}: expected 4 fields")
-            sid_text, tokens_text, feats_text, combined_text = parts
-            try:
-                sid = int(sid_text)
-                combined = float(combined_text)
-                feats = []
-                chunks = feats_text.split()
-                if len(chunks) % 2 != 0:
-                    raise ValueError("odd feature field count")
-                for i in range(0, len(chunks), 2):
-                    name = chunks[i]
-                    if not name.endswith("="):
-                        raise ValueError(f"feature name {name!r} missing '='")
-                    feats.append((name[:-1], float(chunks[i + 1])))
-            except ValueError as exc:
-                raise NBestParseError(f"{path}: line {lineno}: {exc}") from exc
-            entry = NBestEntry(
-                tokens=unescape(tokens_text.split()),
-                features=tuple(feats),
-                combined=combined,
-            )
-            grouped.setdefault(sid, []).append(entry)
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        parts = line.split(" ||| ")
+        if len(parts) != 4:
+            raise NBestParseError(f"{path}: line {lineno}: expected 4 fields")
+        sid_text, tokens_text, feats_text, combined_text = parts
+        try:
+            sid = int(sid_text)
+            combined = float(combined_text)
+            feats = []
+            chunks = feats_text.split()
+            if len(chunks) % 2 != 0:
+                raise ValueError("odd feature field count")
+            for i in range(0, len(chunks), 2):
+                name = chunks[i]
+                if not name.endswith("="):
+                    raise ValueError(f"feature name {name!r} missing '='")
+                feats.append((name[:-1], float(chunks[i + 1])))
+        except ValueError as exc:
+            raise NBestParseError(f"{path}: line {lineno}: {exc}") from exc
+        entry = NBestEntry(
+            tokens=unescape(tokens_text.split()),
+            features=tuple(feats),
+            combined=combined,
+        )
+        grouped.setdefault(sid, []).append(entry)
     return [
         NBestList(sentence_id=sid, entries=tuple(entries))
         for sid, entries in grouped.items()
@@ -363,7 +365,7 @@ class Ensemble:
 
     def __init__(self, config_path: str | Path):
         self.config = config = parse_decoder_config(
-            Path(config_path).read_text(encoding="utf-8"), source=str(config_path)
+            read_text(config_path), source=str(config_path)
         )
         self.feature_names = feature_names((s[0] for s in config.scorers), config.pep)
         self.models = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CorpusError, Sentence, Vocab
+from .corpus import CorpusError, Sentence, Vocab, text_lines
 
 BOS = Vocab.RESERVED[Vocab.BOS]
 EOS = Vocab.RESERVED[Vocab.EOS]
@@ -277,38 +277,60 @@ def _arpa_number(kind, text, path, lineno):
 
 
 def read_arpa(path: str | Path) -> NgramLm:
+    """Inverse of write_arpa. Each n-gram is listed once, and every section
+    holds as many n-grams as the `\\data\\` section's `ngram N=count` line
+    declares."""
     probs: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
+    listed: set[tuple[str, ...]] = set()
+    declared: dict[int, tuple[int, int]] = {}  # order -> (count, line number)
     order = 0
     section = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line == "\\data\\" or line.startswith("ngram "):
-                continue
-            if line == "\\end\\":
-                break
-            if line.endswith("-grams:") and line.startswith("\\"):
-                section = _arpa_number(int, line[1:].split("-")[0], path, lineno)
-                order = max(order, section)
-                continue
-            if section == 0:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise LmError(f"{path}: line {lineno}: malformed n-gram {line!r}")
-            lp = _arpa_number(float, fields[0], path, lineno)
-            gram = tuple(fields[1].split(" "))
-            if len(gram) != section:
-                raise LmError(
-                    f"{path}: line {lineno}: {len(gram)}-gram in {section}-gram section"
-                )
-            if len(fields) == 3:
-                bows[gram] = 10.0 ** _arpa_number(float, fields[2], path, lineno)
-            if gram == (BOS,) and lp <= LOG10_FLOOR + 1.0:
-                continue  # begin marker is context only, not an event
-            probs[gram] = 10.0 ** lp
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line or line == "\\data\\":
+            continue
+        if line == "\\end\\":
+            break
+        if line.startswith("ngram "):
+            n, _, count = line[len("ngram ") :].partition("=")
+            n = _arpa_number(int, n, path, lineno)
+            if n in declared:
+                raise LmError(f"{path}: line {lineno}: count of {n}-grams given twice")
+            declared[n] = (_arpa_number(int, count, path, lineno), lineno)
+            continue
+        if line.endswith("-grams:") and line.startswith("\\"):
+            section = _arpa_number(int, line[1:].split("-")[0], path, lineno)
+            if section not in declared:
+                raise LmError(f"{path}: line {lineno}: no 'ngram {section}=' count in \\data\\")
+            order = max(order, section)
+            continue
+        if section == 0:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (2, 3):
+            raise LmError(f"{path}: line {lineno}: malformed n-gram {line!r}")
+        lp = _arpa_number(float, fields[0], path, lineno)
+        gram = tuple(fields[1].split(" "))
+        if len(gram) != section:
+            raise LmError(
+                f"{path}: line {lineno}: {len(gram)}-gram in {section}-gram section"
+            )
+        if gram in listed:
+            raise LmError(f"{path}: line {lineno}: n-gram {fields[1]!r} given twice")
+        listed.add(gram)
+        if len(fields) == 3:
+            bows[gram] = 10.0 ** _arpa_number(float, fields[2], path, lineno)
+        if gram == (BOS,) and lp <= LOG10_FLOOR + 1.0:
+            continue  # begin marker is context only, not an event
+        probs[gram] = 10.0 ** lp
     if order == 0:
         raise LmError(f"{path}: no n-gram sections found")
+    found = Counter(map(len, listed))
+    for n, (count, lineno) in declared.items():
+        if count != found[n]:
+            raise LmError(
+                f"{path}: line {lineno}: declares {count} {n}-grams, {found[n]} listed"
+            )
     vocab = frozenset(gram[0] for gram in probs if len(gram) == 1) | {UNK}
     return NgramLm(order=order, vocab=vocab, probs=probs, bows=bows)

@@ -9,13 +9,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import CorpusError, ParseError, config_lines
+from ..corpus import CorpusError, ParseError, config_lines, read_text
 from . import checkpoint as ckpt
 from .model import Seq2SeqModel, backward_batch, batch_arrays, forward_batch
 
 
 class DivergenceError(Exception):
     """Loss became non-finite; message names the offending batch."""
+
+
+# Batches per length-sorted chunk of an epoch (Nematus's maxi-batch default).
+MAXI_BATCH = 20
 
 
 # Least value of each integer setting; max_iterations may also be None.
@@ -73,7 +77,7 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
     beside it, or init_model keyword arguments (embedding_dim, hidden_dim,
     seed)."""
     values = {}
-    for lineno, line in config_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in config_lines(read_text(path)):
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(f"{path}: line {lineno}: expected 'key value'")
@@ -163,13 +167,25 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def _schedule(pairs, cfg: TrainConfig):
-    """(epoch, batch number, batch) in training order; every epoch draws a
-    fresh order of `pairs` from one generator seeded with cfg.shuffle_seed."""
+    """(epoch, batch number, batch) in training order, from one generator
+    seeded with cfg.shuffle_seed. Every epoch draws a fresh order of `pairs`,
+    sorts each maxi-batch of it (MAXI_BATCH batches' worth of pairs) by
+    (target length, source length), keeping drawn order among equal lengths,
+    cuts it into batches and yields the epoch's batches in a drawn order.
+    Batches of similar lengths carry little padding."""
     rng = np.random.default_rng(cfg.shuffle_seed)
+    size = cfg.batch_size
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(pairs))
-        for number, start in enumerate(range(0, len(pairs), cfg.batch_size)):
-            yield epoch, number, [pairs[i] for i in order[start : start + cfg.batch_size]]
+        batches = []
+        for start in range(0, len(order), MAXI_BATCH * size):
+            maxi = sorted(
+                order[start : start + MAXI_BATCH * size],
+                key=lambda i: (len(pairs[i][1]), len(pairs[i][0])),
+            )
+            batches.extend(maxi[j : j + size] for j in range(0, len(maxi), size))
+        for number, b in enumerate(rng.permutation(len(batches))):
+            yield epoch, number, [pairs[i] for i in batches[b]]
 
 
 def train(
@@ -181,9 +197,9 @@ def train(
     """Train `model` in place on id pairs; returns it with its log.
 
     Pairs longer than cfg.max_sentence_length on either side are skipped and
-    counted, the corpus is reshuffled every epoch from one seeded generator,
-    and a checkpoint is written every cfg.checkpoint_every iterations when
-    out_dir is given.
+    counted, every epoch reshuffles the corpus into length-sorted batches
+    (see _schedule), and a checkpoint is written every cfg.checkpoint_every
+    iterations when out_dir is given.
     """
     if not corpus:
         raise ValueError("training corpus is empty")

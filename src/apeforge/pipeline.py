@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, ParseError, Sentence, Triplet, config_lines
+from .corpus import CorpusError, ParseError, Sentence, Triplet, config_lines, text_lines
 from .decoder import NmtScorer, ScorerBinding, decode
 from .nmt.model import Seq2SeqModel
 
@@ -78,17 +78,16 @@ def read_confusion(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Confusion table: one `token alternative...` line per token, each
     token on one line only; a line starting with '#' is a comment."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) < 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'token alternative...'")
-            if fields[0] in table:
-                raise ParseError(f"{path}: line {lineno}: token {fields[0]!r} given twice")
-            table[fields[0]] = tuple(fields[1:])
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise ParseError(f"{path}: line {lineno}: expected 'token alternative...'")
+        if fields[0] in table:
+            raise ParseError(f"{path}: line {lineno}: token {fields[0]!r} given twice")
+        table[fields[0]] = tuple(fields[1:])
     return table
 
 
@@ -248,7 +247,10 @@ def parse_config(
             rest = line.split(None, 1)
             if len(rest) < 2:
                 fail(lineno, "cmd needs a command line")
-            current["cmd"] = shlex.split(rest[1])
+            try:
+                current["cmd"] = shlex.split(rest[1])
+            except ValueError as exc:
+                fail(lineno, f"cmd: {exc}")
         elif directive == "end":
             if current["cmd"] is None:
                 fail(lineno, f"stage {current['name']!r} has no cmd")

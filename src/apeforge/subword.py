@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import CorpusError, Sentence
+from .corpus import CorpusError, Sentence, read_text
 
 END_MARKER = "</w>"
 CONTINUATION = "@@"
@@ -208,8 +208,7 @@ def save_model(model: BpeModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BpeModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if not lines or lines[0] != MODEL_HEADER:
         raise SubwordError(f"{path}: missing header {MODEL_HEADER!r}")
     if len(lines) < 2 or not lines[1].startswith(_BASE_PREFIX):

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ParseError, Sentence, Triplet, finite_float
+from .corpus import ParseError, Sentence, Triplet, finite_float, text_lines
 from .decoder import (
     NBestEntry, NBestList, PepFeature, ScorerBinding, decode, feature_names, reweight,
 )
@@ -208,21 +208,20 @@ def read_weights(path: str | Path) -> FeatureWeights:
     """Inverse of write_weights. Blank lines are skipped; the format has no
     comments; every weight is a finite number, and no feature is named twice."""
     weights = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 'name<TAB>value'")
-            name, value = fields
-            if name in weights:
-                raise ParseError(f"{path}: line {lineno}: feature {name!r} given twice")
-            try:
-                weights[name] = finite_float(value)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: bad weight {value!r} for {name!r}"
-                ) from None
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"{path}: line {lineno}: expected 'name<TAB>value'")
+        name, value = fields
+        if name in weights:
+            raise ParseError(f"{path}: line {lineno}: feature {name!r} given twice")
+        try:
+            weights[name] = finite_float(value)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: bad weight {value!r} for {name!r}"
+            ) from None
     return weights

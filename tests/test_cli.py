@@ -1220,6 +1220,93 @@ def _repeated_confusion_token(tmp_path):
     return args, f"{table}: line 2: token 'a' given twice"
 
 
+def _arpa_repeated_ngram(tmp_path):
+    args, model = _lm_xent_args(
+        tmp_path,
+        ["\\data\\", "ngram 1=2", "", "\\1-grams:", "-1.0\thaus", "-0.5\thaus",
+         "-1.0\t</s>", "", "\\end\\"],
+    )
+    return args, f"{model}: line 6: n-gram 'haus' given twice"
+
+
+def _arpa_count_disagrees(tmp_path):
+    args, model = _lm_xent_args(
+        tmp_path,
+        ["\\data\\", "ngram 1=3", "", "\\1-grams:", "-1.0\thaus", "-1.0\t</s>", "",
+         "\\end\\"],
+    )
+    return args, f"{model}: line 2: declares 3 1-grams, 2 listed"
+
+
+def _unclosed_quote_in_pipeline_cmd(tmp_path):
+    cfg = tmp_path / "pipe.cfg"
+    write(cfg, ["stage a", 'cmd eval --metric ter --hyp "x.txt --ref x.txt', "end"])
+    return ["run", "--config", str(cfg)], f"{cfg}: line 2: cmd: No closing quotation"
+
+
+def _with_bad_byte(path, line):
+    """Put a byte that is not UTF-8 at the end of the given line of path."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    return f"{path}: line {line}: not UTF-8"
+
+
+def _non_utf8_hyp(tmp_path):
+    args, hyp = _empty_hyp_line(tmp_path)
+    write(hyp, ["ein haus", "am see", "der hund"])
+    return args, _with_bad_byte(hyp, 2)
+
+
+def _non_utf8_mix_spec(tmp_path):
+    args, spec = _one_field_mix_line(tmp_path)
+    write(spec, ["# parts", f"{tmp_path / 'a'} 2"])
+    return args, _with_bad_byte(spec, 2)
+
+
+def _non_utf8_arpa(tmp_path):
+    args, model = _lm_xent_args(tmp_path, [])
+    write_arpa(train_lm([("ein", "haus")], order=2), model)
+    return args, _with_bad_byte(model, 2)
+
+
+def _non_utf8_bpe_model(tmp_path):
+    args, model = _bpe_model_without_header(tmp_path)
+    write(model, [MODEL_HEADER, "#base: a b </w>", "a b"])
+    return args, _with_bad_byte(model, 3)
+
+
+def _non_utf8_train_config(tmp_path):
+    args, _ = _all_training_pairs_overlong(tmp_path)
+    return args, _with_bad_byte(tmp_path / "train.cfg", 1)
+
+
+def _non_utf8_decoder_config(tmp_path):
+    args, cfg = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=1")
+    return args, _with_bad_byte(cfg, 1)
+
+
+def _non_utf8_weights(tmp_path):
+    args, _ = _decode_args(tmp_path, "scorer m model=m.bin input=mt weight=1")
+    weights = tmp_path / "weights.txt"
+    write(weights, ["m\t1.0"])
+    return args + ["--weights", str(weights)], _with_bad_byte(weights, 1)
+
+
+def _non_utf8_pipeline_config(tmp_path):
+    args, _ = _unclosed_quote_in_pipeline_cmd(tmp_path)
+    cfg = tmp_path / "pipe.cfg"
+    write(cfg, ["stage a", "cmd eval --metric ter --hyp x.txt --ref x.txt", "end"])
+    return args, _with_bad_byte(cfg, 2)
+
+
+def _non_utf8_confusion_table(tmp_path):
+    args, _ = _repeated_confusion_token(tmp_path)
+    table = tmp_path / "confusion.txt"
+    write(table, ["a b c", "b d"])
+    return args, _with_bad_byte(table, 2)
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1250,6 +1337,18 @@ def _repeated_confusion_token(tmp_path):
         _repeated_config_field,
         _repeated_train_config_key,
         _repeated_confusion_token,
+        _arpa_repeated_ngram,
+        _arpa_count_disagrees,
+        _unclosed_quote_in_pipeline_cmd,
+        _non_utf8_hyp,
+        _non_utf8_mix_spec,
+        _non_utf8_arpa,
+        _non_utf8_bpe_model,
+        _non_utf8_train_config,
+        _non_utf8_decoder_config,
+        _non_utf8_weights,
+        _non_utf8_pipeline_config,
+        _non_utf8_confusion_table,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

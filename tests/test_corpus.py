@@ -20,8 +20,10 @@ from apeforge.corpus import (
     read_mix_spec,
     read_parallel,
     read_sentences,
+    read_text,
     read_triplets,
     sentence,
+    text_lines,
     triplet_paths,
     unescape,
     unescape_token,
@@ -29,6 +31,12 @@ from apeforge.corpus import (
     write_sentences,
     write_triplets,
 )
+from apeforge.decoder import Ensemble, read_nbest
+from apeforge.ngram_lm import read_arpa
+from apeforge.nmt import read_train_config
+from apeforge.pipeline import read_confusion
+from apeforge.subword import MODEL_HEADER, load_model
+from apeforge.tuner import read_weights
 
 TOKEN = st.text(
     alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
@@ -215,6 +223,56 @@ class TestMix:
         p.write_text("corpusA x\n")
         with pytest.raises(ParseError):
             read_mix_spec(p)
+
+
+class TestTextInput:
+    def test_lines_as_text_mode_reads_them(self, tmp_path):
+        p = tmp_path / "in.txt"
+        p.write_bytes("ein\r\nhaus\rschläft\nam see".encode("utf-8"))
+        assert list(text_lines(p)) == [
+            (1, "ein\n"), (2, "haus\n"), (3, "schläft\n"), (4, "am see")
+        ]
+        assert read_text(p) == p.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [(b"", 1), (b"ein\n", 2), (b"ein\r\nhaus\rsee\n", 4), (b"ein haus\n" * 2000, 2001)],
+        ids=["first-line", "second-line", "mixed-line-ends", "past-first-chunk"],
+    )
+    def test_bad_byte_names_its_line(self, tmp_path, head, line):
+        p = tmp_path / "in.txt"
+        p.write_bytes(head + b"der \xff hund\nam see\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}: line {line}: not UTF-8$"):
+            list(text_lines(p))
+        with pytest.raises(ParseError, match=rf"line {line}: not UTF-8"):
+            read_text(p)
+
+
+# Per reader of text input: a valid first line, then a second line that is
+# valid but for one byte that is not UTF-8.
+_NON_UTF8_INPUTS = {
+    "sentences": (read_sentences, b"ein haus\n", b"der \xff hund\n"),
+    "mix spec": (read_mix_spec, b"# parts\n", b"corpus\xff 2\n"),
+    "n-best": (read_nbest, b"0 ||| a ||| m= -1.0 ||| -1.0\n", b"0 ||| \xff ||| m= -1.0 ||| -1.0\n"),
+    "arpa": (read_arpa, b"\\data\\\n", b"ngram 1=1\xff\n"),
+    "bpe model": (load_model, MODEL_HEADER.encode() + b"\n", b"#base: a \xff\n"),
+    "weights": (read_weights, b"mt\t1.0\n", b"pep\t1.0\xff\n"),
+    "train config": (read_train_config, b"batch_size 2\n", b"epochs 1 # \xff\n"),
+    "decoder config": (Ensemble, b"scorer m model=m.bin input=mt weight=1\n", b"# \xff\n"),
+    "confusion table": (read_confusion, b"a b\n", b"c \xff\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NON_UTF8_INPUTS))
+def test_reader_names_the_line_that_is_not_utf8(tmp_path, kind):
+    """Every reader opens its file through corpus.text_lines, so a byte that
+    is not UTF-8 is a ParseError naming the file and line, not a
+    UnicodeDecodeError."""
+    reader, first, second = _NON_UTF8_INPUTS[kind]
+    path = tmp_path / "input"
+    path.write_bytes(first + second)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: not UTF-8$"):
+        reader(path)
 
 
 class TestEscaping:

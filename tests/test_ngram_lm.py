@@ -209,6 +209,55 @@ class TestArpa:
         with pytest.raises(LmError):
             read_arpa(path)
 
+    def _arpa(self, tmp_path, counts, *sections):
+        path = tmp_path / "m.arpa"
+        lines = ["\\data\\", *counts]
+        for n, entries in enumerate(sections, 1):
+            lines += ["", f"\\{n}-grams:", *entries]
+        path.write_text("\n".join(lines + ["", "\\end\\", ""]), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ([["-1.0\thaus", "-0.5\thaus", "-1.0\t</s>"]], "line 6: n-gram 'haus' given twice"),
+            (
+                [["-1.0\thaus\t-0.3", "-1.0\t</s>"], ["-0.2\thaus </s>", "-0.1\thaus </s>"]],
+                "line 11: n-gram 'haus </s>' given twice",
+            ),
+        ],
+        ids=["unigram", "bigram"],
+    )
+    def test_repeated_ngram_rejected(self, tmp_path, sections, message):
+        counts = [f"ngram {n}={len(s)}" for n, s in enumerate(sections, 1)]
+        with pytest.raises(LmError, match=message):
+            read_arpa(self._arpa(tmp_path, counts, *sections))
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_count_that_disagrees_with_entries_rejected(self, tmp_path, declared):
+        path = self._arpa(tmp_path, [f"ngram 1={declared}"], ["-1.0\thaus", "-1.0\t</s>"])
+        with pytest.raises(
+            LmError, match=rf"^{path}: line 2: declares {declared} 1-grams, 2 listed$"
+        ):
+            read_arpa(path)
+
+    def test_section_without_count_rejected(self, tmp_path):
+        path = self._arpa(
+            tmp_path, ["ngram 1=2"], ["-1.0\thaus", "-1.0\t</s>"], ["-0.2\thaus </s>"]
+        )
+        with pytest.raises(LmError, match=r"line 8: no 'ngram 2=' count"):
+            read_arpa(path)
+
+    def test_count_given_twice_rejected(self, tmp_path):
+        path = self._arpa(tmp_path, ["ngram 1=2", "ngram 1=2"], ["-1.0\thaus", "-1.0\t</s>"])
+        with pytest.raises(LmError, match=r"line 3: count of 1-grams given twice"):
+            read_arpa(path)
+
+    def test_consistent_hand_written_file_loads(self, tmp_path):
+        path = self._arpa(tmp_path, ["ngram 1=2"], ["-1.0\thaus", "-0.5\t</s>"])
+        lm = read_arpa(path)
+        assert lm.probs == {("haus",): 0.1, ("</s>",): 10**-0.5}
+
 
 class TestSelection:
     def test_equal_models_keep_first_k(self):

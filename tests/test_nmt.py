@@ -32,7 +32,7 @@ from apeforge.nmt.model import (
     pad_batch,
     param_shapes,
 )
-from apeforge.nmt.training import clip_gradients
+from apeforge.nmt.training import MAXI_BATCH, _schedule, clip_gradients
 
 from conftest import copy_task_pairs
 from helpers import forward_backward_reference, gru_step_reference, loss_and_grads
@@ -419,6 +419,106 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(max_sentence_length=1)
+
+
+def _length_pairs(src_lens, tgt_lens):
+    """Distinct id pairs with the given lengths; each pair's first source id
+    is its index."""
+    return [
+        ([i] + [5] * (ls - 1), [6] * lt)
+        for i, (ls, lt) in enumerate(zip(src_lens, tgt_lens))
+    ]
+
+
+def _batches_by_epoch(pairs, cfg):
+    """Per epoch, its batches as lists of the pairs' first source ids."""
+    epochs = [[] for _ in range(cfg.epochs)]
+    for epoch, number, batch in _schedule(pairs, cfg):
+        assert number == len(epochs[epoch])
+        epochs[epoch].append([s[0] for s, _ in batch])
+    return epochs
+
+
+class TestSchedule:
+    def _corpus(self, n=103, seed=0):
+        rng = np.random.default_rng(seed)
+        return _length_pairs(rng.integers(1, 12, n), rng.integers(1, 12, n))
+
+    def test_every_pair_once_per_epoch(self):
+        # 103 pairs at batch 4: one full maxi-batch, a partial one, a short batch
+        pairs = self._corpus()
+        cfg = TrainConfig(batch_size=4, epochs=3)
+        assert MAXI_BATCH * cfg.batch_size < len(pairs)
+        for batches in _batches_by_epoch(pairs, cfg):
+            assert sorted(i for b in batches for i in b) == list(range(len(pairs)))
+            assert sorted(map(len, batches)) == [3] + [4] * 25
+
+    def test_batches_are_length_sorted_within_a_maxi_batch(self):
+        pairs = self._corpus(n=MAXI_BATCH * 4)
+        for batches in _batches_by_epoch(pairs, TrainConfig(batch_size=4, epochs=2)):
+            spans = sorted(
+                (min(len(pairs[i][1]) for i in b), max(len(pairs[i][1]) for i in b))
+                for b in batches
+            )
+            # sorted batches cover disjoint target-length ranges, in order
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+    def test_same_seed_same_batches_and_epochs_differ(self):
+        pairs = self._corpus()
+        cfg = TrainConfig(batch_size=4, epochs=2, shuffle_seed=7)
+        first, second = _batches_by_epoch(pairs, cfg)
+        assert _batches_by_epoch(pairs, cfg) == [first, second]
+        assert first != second
+        other = _batches_by_epoch(pairs, TrainConfig(batch_size=4, epochs=2, shuffle_seed=8))
+        assert other != [first, second]
+
+    def test_equal_lengths_batch_differently_every_epoch(self):
+        # ties keep their place in the epoch's drawn order, not corpus order
+        pairs = _length_pairs([3] * 40, [4] * 40)
+        epochs = _batches_by_epoch(pairs, TrainConfig(batch_size=5, epochs=3))
+        contents = [sorted(map(tuple, map(sorted, batches))) for batches in epochs]
+        assert contents[0] != contents[1] and contents[1] != contents[2]
+
+    def test_oversampled_copies_spread_over_batches(self):
+        # `corpus mix` writes a corpus k times back to back; a tie-break that
+        # grouped equal pairs would put all k copies of each in one batch
+        k, distinct = 4, 60
+        base = _length_pairs([5] * distinct, [3, 4, 5] * (distinct // 3))
+        cfg = TrainConfig(batch_size=8, epochs=3)
+        together = 0
+        for batches in _batches_by_epoch(base * k, cfg):
+            for i in range(distinct):
+                together += max(b.count(i) for b in batches) == k
+        assert together / (distinct * cfg.epochs) < 0.05
+
+    def test_max_iterations_cuts_the_schedule(self, tmp_path):
+        # 3 batches per epoch, so the cut falls inside the second epoch
+        vocab, pairs = copy_task_pairs(n_pairs=12, seed=3)
+        model_a = init_model(vocab, vocab, embedding_dim=8, hidden_dim=6, seed=2)
+        cut = train(model_a, pairs, TrainConfig(batch_size=4, epochs=3, max_iterations=5))
+        assert cut.iterations == 5 and len(cut.losses) == 5
+        model_b = init_model(vocab, vocab, embedding_dim=8, hidden_dim=6, seed=2)
+        full = train(
+            model_b, pairs, TrainConfig(batch_size=4, epochs=3, checkpoint_every=5),
+            out_dir=tmp_path,
+        )
+        assert full.iterations == 9
+        assert full.losses[:5] == cut.losses
+        at_five = load(tmp_path / "checkpoint-00000005.bin")
+        for name in at_five.params:
+            np.testing.assert_array_equal(at_five.params[name], cut.model.params[name])
+
+    def test_real_tokens_fill_padded_targets(self):
+        # the shape of perfbench's `train` data: 400 pairs of 6-40 units
+        # (mean 23), batch 40, 2 epochs; random batches fill 0.58 of it
+        rng = np.random.default_rng(1)
+        pairs = _length_pairs(rng.integers(6, 41, 400), rng.integers(6, 41, 400))
+        real = padded = 0
+        for _, _, batch in _schedule(pairs, TrainConfig(batch_size=40, epochs=2)):
+            *_, tgt_mask = batch_arrays(batch)
+            real += tgt_mask.sum()
+            padded += tgt_mask.size
+        assert real / padded >= 0.85
 
 
 class TestOptimizer:

@@ -269,6 +269,14 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="pipe.cfg: stage 'a' not closed"):
             parse_config("stage a\ncmd eval\n", "pipe.cfg", lambda args: None)
 
+    def test_unclosed_quote_in_cmd_names_the_line(self):
+        with pytest.raises(
+            ParseError, match=r"^pipe.cfg: line 2: cmd: No closing quotation$"
+        ):
+            parse_config(
+                'stage a\ncmd eval --hyp "x.txt\nend\n', "pipe.cfg", lambda args: None
+            )
+
 
 class TestStageGraph:
     def test_duplicate_stage_name_rejected(self, tmp_path):
