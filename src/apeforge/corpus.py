@@ -149,8 +149,10 @@ def read_text(path: str | Path) -> str:
 
 def config_lines(text: str) -> Iterator[tuple[int, str]]:
     """Numbered non-blank lines of a config file (train, decoder, pipeline),
-    each stripped, with `#` starting a comment anywhere in the line."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    each stripped, with `#` starting a comment anywhere in the line. Lines
+    are numbered as text_lines numbers them: only a line feed ends one, not
+    a form feed, vertical tab, NEL or Unicode line separator inside it."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

@@ -7,6 +7,10 @@ counts. Scores are percentages of the reference length. One bit-parallel
 Levenshtein DP over the reference's word masks does all of it: its column
 after each prefix of an arrangement gives the traceback, and each candidate
 shift resumes from the column of the prefix it shares with the arrangement.
+Candidates that move one block to later positions share a growing prefix,
+whose column is extended one word per position. A candidate's words after
+the moved span are the arrangement's, so when its column there equals the
+arrangement's its residual cost is unchanged and the scan stops.
 """
 
 from __future__ import annotations
@@ -146,7 +150,17 @@ def edit_distance(hyp: Sequence[str], ref: Sequence[str]) -> EditCounts:
 
 def _best_shift(cur, ref, peq, ops, cols):
     """The shift (start, length, dest) with the largest residual-cost gain,
-    first in (start, length, dest) order on ties; None if none gains."""
+    first in (start, length, dest) order on ties; None if none gains.
+
+    A candidate equals cur before min(start, dest) and from the end of the
+    moved span on (end = start+length for dest < start, dest+length for
+    dest > start), so only the words between are scanned from cols:
+    - for dest > start the words before the block are cur[:start] plus
+      cur[start+length:end-length], one word more per dest, so their column
+      is extended by that word instead of rescanned;
+    - if the column at end equals cols[end], the rest of the scan repeats
+      cur's and the gain is 0, so cur[end:] is not scanned.
+    """
     n, mask = len(cur), (1 << len(ref)) - 1
     cost = _dist(cols, n, len(ref))
     # True per hypothesis word unless matched exactly ('ins' consumes none)
@@ -163,18 +177,22 @@ def _best_shift(cur, ref, peq, ops, cols):
             if not any_mis:
                 continue
             block = cur[start : start + length]
-            after = cur[start + length :]
-            # A candidate equals cur up to min(start, dest), so only its
-            # tail from there on is scanned.
+            shared = cols[start]  # column before the block when dest > start
             for dest in range(n - length + 1):
                 if dest < start:
-                    col, tail = cols[dest], block + cur[dest:start] + after
+                    end = start + length
+                    col = _advance(peq, mask, cols[dest], block + cur[dest:start])
                 elif dest > start:
-                    k = dest - start
-                    col, tail = cols[start], after[:k] + block + after[k:]
+                    end = dest + length
+                    shared = _advance(peq, mask, shared, (cur[end - 1],))
+                    col = _advance(peq, mask, shared, block)
                 else:
                     continue
-                vp, vn = _advance(peq, mask, col, tail)
+                vp, vn = col
+                evp, evn = cols[end]
+                if vp == evp and not (vn ^ evn) & mask:
+                    continue  # the rest repeats cur's scan: gain 0
+                vp, vn = _advance(peq, mask, col, cur[end:])
                 gain = cost - (n + vp.bit_count() - (vn & mask).bit_count())
                 if gain > best_gain:
                     best, best_gain = (start, length, dest), gain

@@ -4,7 +4,9 @@ Outer loop: decode the dev set with the current weights (length-normalized
 scores), add the fresh hypotheses to each sentence's accumulated pool
 (one entry per distinct hypothesis, first decoded first), then run
 margin-based online updates over the pool. Sentence-level TER
-against the post-edited reference, as a fraction, is the loss. The returned
+against the post-edited reference, as a fraction, is the loss; it is
+computed once per (dev sentence, hypothesis) pair per call, and later
+iterations reuse it for the entries the pool already held. The returned
 weights are whichever candidate (initial weights included) reranks the
 accumulated pool to the lowest corpus TER, so tuning can never end worse
 than it started on that pool.
@@ -86,18 +88,19 @@ def rerank_corpus_ter(
 
 def mira_epochs(
     lists: Sequence[NBestList],
-    references: Sequence[Sentence],
+    costs: Sequence[np.ndarray],
     initial: FeatureWeights,
     cfg: TuneConfig,
     rng: np.random.Generator,
 ) -> FeatureWeights:
-    """Online hope/fear updates; returns the average of per-epoch weights."""
+    """Online hope/fear updates; costs[i][k] is the loss of entry k of
+    lists[i]. Returns the average of per-epoch weights."""
     names = sorted(initial)
     w = np.array([initial[n] for n in names])
-    prepared = []
-    for nbest, ref in zip(lists, references):
-        costs = np.array([ter(e.tokens, ref).ter / 100.0 for e in nbest.entries])
-        prepared.append((_feature_matrix(nbest, names), costs))
+    prepared = [
+        (_feature_matrix(nbest, names), cost)
+        for nbest, cost in zip(lists, costs)
+    ]
 
     snapshots = []
     for _ in range(cfg.inner_epochs):
@@ -128,13 +131,22 @@ def _search(
     Each iteration takes the n-best pool for the latest weights, runs MIRA
     over it and keeps the averaged weights as a candidate. Candidates are the
     initial weights plus one per iteration; the one with the lowest rerank
-    corpus TER on the final pool wins, earliest first on ties.
+    corpus TER on the final pool wins, earliest first on ties. MIRA's losses
+    are kept per dev sentence for the length of the call, so each
+    hypothesis is scored with `ter` once however many iterations hold it.
     """
     rng = np.random.default_rng(cfg.seed)
+    losses: list[dict[Sentence, float]] = [{} for _ in references]
     candidates = [dict(initial)]
     for _ in range(cfg.outer_iterations):
         lists = pool_for(candidates[-1])
-        candidates.append(mira_epochs(lists, references, candidates[-1], cfg, rng))
+        costs = []
+        for nbest, ref, loss in zip(lists, references, losses):
+            for entry in nbest.entries:
+                if entry.tokens not in loss:
+                    loss[entry.tokens] = ter(entry.tokens, ref).ter / 100.0
+            costs.append(np.array([loss[e.tokens] for e in nbest.entries]))
+        candidates.append(mira_epochs(lists, costs, candidates[-1], cfg, rng))
     scored = [
         (rerank_corpus_ter(lists, cand, references), i)
         for i, cand in enumerate(candidates)

@@ -224,6 +224,67 @@ def ter_greedy_reference(hyp, ref):
     )
 
 
+def ter_costs_reference(lists, references):
+    """Per n-best list, the sentence TER of each entry against its
+    reference as a fraction, every entry scored afresh."""
+    import numpy as np
+
+    from apeforge.metrics import ter
+
+    return [
+        np.array([ter(e.tokens, ref).ter / 100.0 for e in nbest.entries])
+        for nbest, ref in zip(lists, references)
+    ]
+
+
+def search_rescoring_reference(pool_for, references, initial, cfg):
+    """The tuner's outer loop with every pool entry scored again in every
+    iteration; the reference for tune_on_lists and tune, which score each
+    (dev sentence, hypothesis) pair once per call.
+
+    Each iteration takes the pool for the latest weights, runs
+    tuner.mira_epochs on it and keeps the averaged weights as a candidate;
+    the candidate (initial weights included) with the lowest rerank corpus
+    TER on the final pool wins, earliest first on ties.
+    """
+    import numpy as np
+
+    from apeforge.tuner import mira_epochs, rerank_corpus_ter
+
+    rng = np.random.default_rng(cfg.seed)
+    candidates = [dict(initial)]
+    for _ in range(cfg.outer_iterations):
+        lists = pool_for(candidates[-1])
+        costs = ter_costs_reference(lists, references)
+        candidates.append(mira_epochs(lists, costs, candidates[-1], cfg, rng))
+    scored = [
+        (rerank_corpus_ter(lists, cand, references), i)
+        for i, cand in enumerate(candidates)
+    ]
+    return candidates[min(scored)[1]]
+
+
+def tune_rescoring_reference(dev, binding_factory, cfg):
+    """tuner.tune through search_rescoring_reference: uniform initial
+    weights, and per dev sentence a pool of its distinct decoded
+    hypotheses, first decoded first."""
+    from apeforge.decoder import NBestList, decode, feature_names, reweight
+
+    bindings, pep = binding_factory(dev[0])
+    names = feature_names((b.name for b in bindings), pep)
+    initial = {n: 1.0 / len(names) for n in names}
+    pool = [{} for _ in dev]
+
+    def pool_for(weights):
+        for i, triplet in enumerate(dev):
+            bindings, pep = reweight(*binding_factory(triplet), weights)
+            for entry in decode(bindings, pep=pep, beam=cfg.beam, sentence_id=i).entries:
+                pool[i].setdefault(entry.tokens, entry)
+        return [NBestList(i, tuple(entries.values())) for i, entries in enumerate(pool)]
+
+    return search_rescoring_reference(pool_for, [t.pe for t in dev], initial, cfg)
+
+
 def bpe_apply_reference(merges, token: str, end_marker: str = "</w>") -> list[str]:
     """Apply merges strictly in learned order, one full pass per merge."""
     syms = list(token) + [end_marker]

@@ -31,10 +31,10 @@ from apeforge.corpus import (
     write_sentences,
     write_triplets,
 )
-from apeforge.decoder import Ensemble, read_nbest
+from apeforge.decoder import AssemblyError, Ensemble, parse_decoder_config, read_nbest
 from apeforge.ngram_lm import read_arpa
 from apeforge.nmt import read_train_config
-from apeforge.pipeline import read_confusion
+from apeforge.pipeline import parse_config, read_confusion
 from apeforge.subword import MODEL_HEADER, load_model
 from apeforge.tuner import read_weights
 
@@ -273,6 +273,54 @@ def test_reader_names_the_line_that_is_not_utf8(tmp_path, kind):
     path.write_bytes(first + second)
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: not UTF-8$"):
         reader(path)
+
+
+# Characters that str.splitlines() ends a line at and text mode does not.
+_INLINE_BREAKS = ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+class TestConfigLineNumbers:
+    """A config line ends at a line feed only. Each config's line 1 holds a
+    comment whose text after the break would be a valid line of its own; the
+    comment must stay a comment, and an error on a later line must name
+    that line."""
+
+    @pytest.mark.parametrize("brk", _INLINE_BREAKS)
+    def test_train_config(self, tmp_path, brk):
+        path = tmp_path / "train.cfg"
+        text = f"batch_size 2 # was{brk}epochs 7\nepochs 3\n"
+        path.write_text(text, encoding="utf-8")
+        _model, cfg = read_train_config(path)
+        assert (cfg.batch_size, cfg.epochs) == (2, 3)
+        path.write_text(text + "bogus 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: unknown key 'bogus'$"):
+            read_train_config(path)
+
+    @pytest.mark.parametrize("brk", _INLINE_BREAKS)
+    def test_decoder_config(self, tmp_path, brk):
+        path = tmp_path / "decoder.cfg"
+        text = (
+            f"scorer m model=m.bin input=mt weight=1 # was{brk}scorer n model=n.bin input=src weight=1\n"
+            "feature pep input=mt weight=0.5\n"
+        )
+        path.write_text(text, encoding="utf-8")
+        config = parse_decoder_config(read_text(path), str(path))
+        assert config.scorers == (("m", "m.bin", "mt", 1.0),)
+        path.write_text(text + "bogus\n", encoding="utf-8")
+        message = rf"^{re.escape(str(path))}: line 3: unknown directive 'bogus'$"
+        with pytest.raises(AssemblyError, match=message):
+            Ensemble(path)
+
+    @pytest.mark.parametrize("brk", _INLINE_BREAKS)
+    def test_pipeline_config(self, tmp_path, brk):
+        path = tmp_path / "pipe.cfg"
+        text = f"workspace ws # was{brk}workspace other\nstage a\ncmd eval\nend\n"
+        path.write_text(text, encoding="utf-8")
+        workspace, stages = parse_config(read_text(path), str(path), lambda args: None)
+        assert (workspace, [stage.name for stage in stages]) == ("ws", ["a"])
+        path.write_text(text + "bogus\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 5: unknown directive 'bogus'$"):
+            parse_config(read_text(path), str(path), lambda args: None)
 
 
 class TestEscaping:

@@ -225,6 +225,49 @@ class TestTerMatchesGreedyReference:
         for hyp, ref in pairs:
             assert ter(hyp, ref) == ter_greedy_reference(hyp, ref)
 
+    def test_shift_heavy_pairs(self):
+        # The reference with 1-4 blocks moved and the odd word substituted,
+        # over a 1-6-word alphabet: repeats make many blocks movable, and
+        # many candidates tie or reach the column of the unshifted words.
+        rng = np.random.default_rng(19)
+        shifted = 0
+        for _ in range(250):
+            words = "abcdef"[: rng.integers(1, 7)]
+            ref = [str(w) for w in rng.choice(list(words), rng.integers(1, 12))]
+            hyp = list(ref)
+            for _ in range(rng.integers(1, 5)):
+                start = int(rng.integers(len(hyp)))
+                block = hyp[start : start + int(rng.integers(1, 5))]
+                del hyp[start : start + len(block)]
+                dest = int(rng.integers(len(hyp) + 1))
+                hyp[dest:dest] = block
+            for i in np.flatnonzero(rng.random(len(hyp)) < 0.1):
+                hyp[i] = str(rng.choice(list(words + "x")))
+            a = ter(hyp, ref)
+            assert a == ter_greedy_reference(hyp, ref)
+            shifted += a.shifts > 0
+        assert shifted >= 50
+
+    def test_hypotheses_up_to_three_times_the_reference(self):
+        # The shape of tune's long tail: a short reference and a hypothesis
+        # that repeats or pads it, up to 3x its length.
+        rng = np.random.default_rng(23)
+        shifted = 0
+        for _ in range(40):
+            words = "abcdef"[: rng.integers(1, 7)]
+            ref = [str(w) for w in rng.choice(list(words), rng.integers(1, 12))]
+            pieces = [ref[i : i + 3] for i in range(0, len(ref), 3)]
+            size = rng.integers(len(ref), 3 * len(ref) + 1)
+            hyp = []
+            while len(hyp) < size:
+                piece = pieces[rng.integers(len(pieces))]
+                hyp += piece if rng.random() < 0.7 else [str(rng.choice(list(words + "y")))]
+            hyp = hyp[:size]
+            a = ter(hyp, ref)
+            assert a == ter_greedy_reference(hyp, ref)
+            shifted += a.shifts > 0
+        assert shifted >= 10
+
     def test_empty_hypothesis(self):
         assert ter([], ["a", "b"]) == ter_greedy_reference([], ["a", "b"])
 

@@ -1,8 +1,11 @@
 """Weight optimization: hope/fear updates, reranking, grid-search oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from apeforge import tuner
 from apeforge.corpus import ParseError, Triplet, Vocab
 from apeforge.decoder import NBestEntry, NBestList, ScorerBinding
 from apeforge.metrics import ter
@@ -17,6 +20,20 @@ from apeforge.tuner import (
     tune_on_lists,
     write_weights,
 )
+from helpers import search_rescoring_reference, ter_costs_reference, tune_rescoring_reference
+
+
+def count_ter_calls(monkeypatch) -> Counter:
+    """Counts the (hypothesis, reference) pairs the tuner scores with ter."""
+    calls = Counter()
+    inner = tuner.ter
+
+    def counting(hyp, ref):
+        calls[tuple(hyp), tuple(ref)] += 1
+        return inner(hyp, ref)
+
+    monkeypatch.setattr(tuner, "ter", counting)
+    return calls
 
 
 def entry(tokens, **feats):
@@ -208,6 +225,16 @@ class TestTuneOnLists:
         b = tune_on_lists(lists, refs, cfg)
         assert a == b
 
+    def test_scores_each_pair_once_with_the_rescoring_weights(self, monkeypatch):
+        lists, refs = synthetic_problem(8, seed=4)
+        cfg = TuneConfig(outer_iterations=3, inner_epochs=5, seed=3)
+        calls = count_ter_calls(monkeypatch)
+        weights = tune_on_lists(lists, refs, cfg)
+        pairs = {(e.tokens, ref) for nbest, ref in zip(lists, refs) for e in nbest.entries}
+        assert calls == Counter(pairs)
+        initial = {"neg_ter": 0.5, "noise": 0.5}
+        assert weights == search_rescoring_reference(lambda _w: lists, refs, initial, cfg)
+
     def test_validation(self):
         lists, refs = synthetic_problem(2)
         with pytest.raises(ValueError):
@@ -226,16 +253,16 @@ class TestMiraEpochs:
         initial = {"neg_ter": 0.5, "noise": 0.5}
         cfg = TuneConfig(inner_epochs=10, mira_c=0.05)
         rng = np.random.default_rng(0)
-        out = mira_epochs(lists, refs, initial, cfg, rng)
+        out = mira_epochs(lists, ter_costs_reference(lists, refs), initial, cfg, rng)
         # relative mass must shift toward the feature aligned with low TER
         assert out["neg_ter"] - out["noise"] > initial["neg_ter"] - initial["noise"]
 
     def test_no_update_when_hope_equals_fear(self):
         # a single hypothesis per sentence: hope == fear, weights unchanged
-        refs = [("a",)]
         lists = [NBestList(sentence_id=0, entries=(entry(("a",), m=-1.0),))]
         cfg = TuneConfig(inner_epochs=4)
-        out = mira_epochs(lists, refs, {"m": 0.25}, cfg, np.random.default_rng(0))
+        costs = [np.array([0.0])]
+        out = mira_epochs(lists, costs, {"m": 0.25}, cfg, np.random.default_rng(0))
         assert out == {"m": 0.25}
 
 
@@ -313,6 +340,28 @@ class TestTuneEndToEnd:
         assert set(weights) == {"helpful", "harmful"}
         assert weights["helpful"] > weights["harmful"]
         assert rerank_corpus_ter(lists, weights, refs) == 0.0
+
+    def test_scores_each_pair_once_with_the_rescoring_weights(self, monkeypatch):
+        dev, factory = self._scenario()
+        cfg = TuneConfig(outer_iterations=3, inner_epochs=15, seed=0, beam=4, mira_c=0.05)
+        decoded = []
+        inner = tuner.decode
+
+        def recording_decode(bindings, **kwargs):
+            nbest = inner(bindings, **kwargs)
+            decoded.extend((nbest.sentence_id, e.tokens) for e in nbest.entries)
+            return nbest
+
+        monkeypatch.setattr(tuner, "decode", recording_decode)
+        calls = count_ter_calls(monkeypatch)
+        weights = tune(dev, factory, cfg)
+        # later iterations decode hypotheses the pool already holds
+        assert len(decoded) > len(set(decoded))
+        # one call per dev sentence and distinct hypothesis: both references
+        # here are ("good",), so a hypothesis both pools hold counts twice
+        assert calls == Counter((tokens, dev[i].pe) for i, tokens in set(decoded))
+        monkeypatch.undo()
+        assert weights == tune_rescoring_reference(dev, factory, cfg)
 
     def test_empty_dev_rejected(self):
         with pytest.raises(ValueError):
