@@ -7,6 +7,7 @@ PREFIX.src / PREFIX.mt / PREFIX.pe.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import replace
@@ -76,6 +77,17 @@ def cli():
 
 def main():
     cli(prog_name="apeforge")
+
+
+class _FloatRange(click.FloatRange):
+    """click.FloatRange that also rejects nan, which compares false with
+    every bound and so passes the range test."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return number
 
 
 # ---------------------------------------------------------------- corpus
@@ -279,7 +291,7 @@ def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):
 @click.option("--no-normalize", is_flag=True)
 @click.option(
     "--outlier-margin", "margin", default=0.10, show_default=True,
-    type=click.FloatRange(min=0),
+    type=_FloatRange(min=0),
 )
 @click.option("--traversal-cap", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
@@ -457,7 +469,7 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
 @click.option("--iterations", default=2, show_default=True, type=click.IntRange(min=1))
 @click.option("--beam", default=12, show_default=True, type=click.IntRange(min=1))
 @click.option("--mira-c", default=0.01, show_default=True,
-              type=click.FloatRange(min=0.0, min_open=True))
+              type=_FloatRange(min=0.0, min_open=True))
 @click.option("--inner-epochs", default=15, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())

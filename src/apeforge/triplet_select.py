@@ -6,11 +6,16 @@ range (with a relative margin), then a nearest-neighbor sweep picks the n
 most similar pool entries per reference triplet, never reusing a candidate
 and giving up on a reference triplet once its candidate walk has examined
 traversal_cap entries.
+
+A triplet's statistics are computed once and kept while the triplet lives,
+so the filter, the nearest-neighbor sweep and the report of one run score
+each triplet (and every value-equal copy of it) through `ter` only once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +63,20 @@ class StatReport:
         return out
 
 
+# stat row per live triplet; an entry goes when its triplet does
+_STATS: weakref.WeakKeyDictionary[Triplet, np.ndarray] = weakref.WeakKeyDictionary()
+
+
 def stat_vector(t: Triplet) -> np.ndarray:
-    """[pe length, mt length, ins, del, sub, shifts, ter] as float64."""
+    """[pe length, mt length, ins, del, sub, shifts, ter] as float64.
+
+    The row is shared by every call for the triplet, so it is read-only.
+    """
+    row = _STATS.get(t)
+    if row is not None:
+        return row
     a = ter(t.mt, t.pe)
-    return np.array(
+    row = np.array(
         [
             len(t.pe),
             len(t.mt),
@@ -73,6 +88,9 @@ def stat_vector(t: Triplet) -> np.ndarray:
         ],
         dtype=np.float64,
     )
+    row.flags.writeable = False
+    _STATS[t] = row
+    return row
 
 
 def stat_matrix(triplets) -> np.ndarray:
@@ -93,10 +111,13 @@ def outlier_filter(pool, reference, margin: float = 0.10):
     """Drop pool triplets outside the reference component ranges.
 
     Bounds are min*(1-margin) and max*(1+margin) per component; components
-    whose reference minimum is 0 keep a lower bound of 0.
+    whose reference minimum is 0 keep a lower bound of 0. An infinite
+    margin keeps the whole pool.
     """
     if not reference:
         raise ValueError("reference set is empty")
+    if math.isnan(margin):
+        raise ValueError("margin is nan")
     if math.isinf(margin):
         return list(pool)
     pool = list(pool)

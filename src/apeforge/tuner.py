@@ -46,7 +46,7 @@ class TuneConfig:
             raise ValueError("outer_iterations must be >= 1")
         if self.inner_epochs < 1:
             raise ValueError("inner_epochs must be >= 1")
-        if self.mira_c <= 0:
+        if not self.mira_c > 0:  # also catches nan
             raise ValueError("mira_c must be positive")
 
 

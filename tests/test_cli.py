@@ -1493,6 +1493,8 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("lm train", ["--sample-tokens", "-5"], "'--sample-tokens'"),
         ("lm train", ["--order", "0"], "'--order'"),
         ("select xent", ["--keep", "0"], "'0'"),
+        ("tune", ["--mira-c", "nan"], "'--mira-c'"),
+        ("select ter", ["--n", "1", "--outlier-margin", "nan"], "'--outlier-margin'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

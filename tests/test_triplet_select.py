@@ -1,10 +1,15 @@
 """Tests for TER-statistics pool filtering and nearest-neighbor selection."""
 
+import gc
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apeforge import metrics, triplet_select
 from apeforge.corpus import Triplet
 from apeforge.triplet_select import (
     STAT_COMPONENTS,
@@ -104,6 +109,11 @@ class TestOutlierFilter:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             outlier_filter([_ident(3)], [])
+
+    def test_nan_margin_rejected(self):
+        # nan fails every bound test, so it would silently drop the pool
+        with pytest.raises(ValueError, match="nan"):
+            outlier_filter([_ident(3)], [_ident(3)], margin=math.nan)
 
 
 class TestKnnSelect:
@@ -248,3 +258,79 @@ class TestReportStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             report_stats([])
+
+
+def _row_from_ter(t):
+    a = metrics.ter(t.mt, t.pe)
+    return [len(t.pe), len(t.mt), a.insertions, a.deletions, a.substitutions,
+            a.shifts, a.ter]
+
+
+_words = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=6)
+_triplets = st.builds(_pair, _words, _words)
+
+
+class TestStatMemo:
+    """Each triplet's stat row is computed once while the triplet lives."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_triplets, min_size=1, max_size=8), st.data())
+    def test_matrix_equals_rows_from_ter(self, triplets, data):
+        # repeats of one object and value-equal copies of it, in any order
+        extra = data.draw(st.lists(st.sampled_from(triplets), max_size=8))
+        copies = [Triplet(src=t.src, mt=t.mt, pe=t.pe) for t in extra]
+        mixed = triplets + extra + copies
+        expected = np.array([_row_from_ter(t) for t in mixed], dtype=np.float64)
+        assert np.array_equal(stat_matrix(mixed), expected)
+        assert np.array_equal(stat_matrix(mixed), expected)
+
+    def test_select_chain_scores_each_distinct_triplet_once(self, monkeypatch):
+        calls = Counter()
+        inner = triplet_select.ter
+
+        def counting(hyp, ref):
+            calls[tuple(hyp), tuple(ref)] += 1
+            return inner(hyp, ref)
+
+        monkeypatch.setattr(triplet_select, "ter", counting)
+        rng = np.random.default_rng(31)
+
+        def draw(count):
+            out = []
+            for _ in range(count):
+                pe = tuple(f"chain{int(k)}" for k in rng.integers(0, 9, rng.integers(3, 9)))
+                mt = tuple(w if rng.random() > 0.3 else "chainX" for w in pe)
+                out.append(_pair(mt, pe))
+            return out
+
+        reference = draw(6)
+        pool = draw(40) + [_pair(t.mt, t.pe) for t in reference]
+        filtered = outlier_filter(pool, reference)
+        selected = knn_select(filtered, reference, SelectionConfig(n=2))
+        report_stats(selected)
+        distinct = {(t.mt, t.pe) for t in pool + reference}
+        assert set(calls) == distinct
+        assert set(calls.values()) == {1}
+
+    def test_rows_go_with_their_triplets(self):
+        before = len(triplet_select._STATS)
+        triplets = [_ident(n, "gone") for n in (2, 3, 4)]
+        stat_matrix(triplets + [_ident(2, "gone")])
+        assert len(triplet_select._STATS) == before + 3
+        del triplets
+        gc.collect()
+        assert len(triplet_select._STATS) == before
+
+    def test_cached_row_is_read_only(self):
+        t = _subbed(5, 2)
+        row = stat_vector(t)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = -1.0
+        assert stat_vector(t) is row
+
+    def test_mutating_a_matrix_leaves_later_rows_unchanged(self):
+        t = _subbed(6, 1)
+        first = stat_matrix([t, t])
+        first[:] = -1.0
+        assert stat_matrix([t]).tolist() == [_row_from_ter(t)]

@@ -245,6 +245,8 @@ class TestTuneOnLists:
             TuneConfig(outer_iterations=0)
         with pytest.raises(ValueError):
             TuneConfig(mira_c=0.0)
+        with pytest.raises(ValueError):
+            TuneConfig(mira_c=float("nan"))
 
 
 class TestMiraEpochs:
