@@ -1,8 +1,10 @@
 """Command-line surface of the toolkit.
 
-Every subcommand is a thin wrapper over one library call; file formats are
-one whitespace-tokenized sentence per line, with triplet corpora stored as
-PREFIX.src / PREFIX.mt / PREFIX.pe.
+Each subcommand parses its options and calls the library. Four rules live
+here as well: `decode`'s --best-out line, `lm train`'s token sampling, `run`'s
+workspace choice and `nmt train`'s choice between a checkpoint and a fresh
+model. File formats are one whitespace-tokenized sentence per line, with
+triplet corpora stored as PREFIX.src / PREFIX.mt / PREFIX.pe.
 """
 
 from __future__ import annotations
@@ -378,7 +380,8 @@ def nmt_train(src_path, tgt_path, config_path, out_dir):
 @click.option("--embedding-dim", default=8, show_default=True, type=click.IntRange(min=1))
 @click.option("--hidden-dim", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--tolerance", default=1e-3, show_default=True, type=float)
+@click.option("--tolerance", default=1e-3, show_default=True,
+              type=_FloatRange(min=0.0, max=math.inf, min_open=True, max_open=True))
 def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
     """Check analytic gradients against finite differences on a random model."""
     rng = np.random.default_rng(seed)

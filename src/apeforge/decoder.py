@@ -361,7 +361,8 @@ def parse_decoder_config(text: str, source: str = "<config>") -> DecoderConfig:
 
 
 class Ensemble:
-    """A decoder config file resolved against its model files."""
+    """A decoder config file resolved against its model files, whose
+    scorers share one target vocabulary."""
 
     def __init__(self, config_path: str | Path):
         self.config = config = parse_decoder_config(
@@ -371,8 +372,14 @@ class Ensemble:
         self.models = {}
         for name, model_path, _sel, _w in config.scorers:
             model = ckpt.load(model_path)
+            if not self.models:
+                first, self.tgt_vocab = name, model.tgt_vocab
+            elif model.tgt_vocab != self.tgt_vocab:
+                raise AssemblyError(
+                    f"{config_path}: scorer {name!r} (model {model_path}) has a "
+                    f"different target vocabulary from scorer {first!r}"
+                )
             self.models[name] = (model, NmtScorer(model))
-        self.tgt_vocab = next(iter(self.models.values()))[0].tgt_vocab
 
     def needs_src(self) -> bool:
         if any(sel == "src" for _, _, sel, _ in self.config.scorers):

@@ -454,8 +454,11 @@ def gradient_check(
 
     Every parameter tensor is probed at up to GRAD_CHECK_COORDS coordinates:
     a seeded sample plus the coordinate with the largest analytic gradient
-    magnitude.
+    magnitude. `tolerance` must be positive: a check at `nan` or <= 0 cannot
+    pass. `inf` is allowed and reports the errors without failing.
     """
+    if not tolerance > 0:  # also catches nan
+        raise ValueError("tolerance must be positive")
     rng = np.random.default_rng(seed)
     arrays = batch_arrays([(src, tgt)])
     _, cache = forward_batch(model, *arrays)

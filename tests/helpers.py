@@ -1,4 +1,5 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and a
+runner for the console script in a fresh interpreter.
 
 Everything here is deliberately written from first principles (full-matrix
 DP, uniform-cost search, merge-by-merge BPE application) and must stay
@@ -8,7 +9,31 @@ independent of the package code paths it checks.
 from __future__ import annotations
 
 import heapq
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_apeforge(args, cwd, env=None):
+    """Run `python -m apeforge.cli *args` in a fresh interpreter in `cwd`, as
+    a user runs the console script; returns (exit status, stdout, stderr).
+
+    The repository's `src` comes first on PYTHONPATH and OpenBLAS runs one
+    thread; `env` is applied on top of that and of the caller's environment.
+    """
+    pythonpath = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    full_env = {
+        **os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": pythonpath, **(env or {})
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "apeforge.cli", *map(str, args)],
+        cwd=cwd, env=full_env, capture_output=True, encoding="utf-8", timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def lev_matrix(hyp, ref) -> int:

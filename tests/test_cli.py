@@ -9,7 +9,7 @@ from apeforge.cli import cli
 from apeforge.corpus import Triplet, Vocab, read_sentences, read_triplets, write_triplets
 from apeforge.decoder import read_nbest
 from apeforge.ngram_lm import train_lm, write_arpa
-from apeforge.nmt import DivergenceError, TrainConfig, train
+from apeforge.nmt import DivergenceError, TrainConfig, init_model, train
 from apeforge.nmt import checkpoint as ckpt
 from apeforge.pipeline import MANIFEST_NAME
 from apeforge.subword import MODEL_HEADER, learn_bpe, save_model
@@ -1307,6 +1307,21 @@ def _non_utf8_confusion_table(tmp_path):
     return args, _with_bad_byte(table, 2)
 
 
+def _scorers_disagree_on_target_vocabulary(tmp_path):
+    # two models of one source vocabulary whose target vocabularies differ
+    src_vocab = Vocab(["a", "b"])
+    for name, tgt in (("mt", ["x", "y"]), ("src", ["y", "x"])):
+        model = init_model(src_vocab, Vocab(tgt), embedding_dim=2, hidden_dim=2)
+        ckpt.save(model, tmp_path / f"{name}.bin")
+    args, cfg = _decode_args(tmp_path, f"scorer mt model={tmp_path / 'mt.bin'} input=mt weight=1")
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write(f"scorer src model={tmp_path / 'src.bin'} input=mt weight=1\n")
+    return args, (
+        f"{cfg}: scorer 'src' (model {tmp_path / 'src.bin'}) has a different "
+        "target vocabulary from scorer 'mt'"
+    )
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1349,6 +1364,7 @@ def _non_utf8_confusion_table(tmp_path):
         _non_utf8_weights,
         _non_utf8_pipeline_config,
         _non_utf8_confusion_table,
+        _scorers_disagree_on_target_vocabulary,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):
@@ -1495,6 +1511,10 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("select xent", ["--keep", "0"], "'0'"),
         ("tune", ["--mira-c", "nan"], "'--mira-c'"),
         ("select ter", ["--n", "1", "--outlier-margin", "nan"], "'--outlier-margin'"),
+        ("nmt grad-check", ["--tolerance", "nan"], "'--tolerance'"),
+        ("nmt grad-check", ["--tolerance", "0"], "'--tolerance'"),
+        ("nmt grad-check", ["--tolerance", "-1"], "'--tolerance'"),
+        ("nmt grad-check", ["--tolerance", "inf"], "'--tolerance'"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

@@ -8,6 +8,7 @@ import pytest
 from apeforge.corpus import Vocab
 from apeforge.decoder import (
     AssemblyError,
+    Ensemble,
     NBestEntry,
     NBestList,
     NBestParseError,
@@ -21,6 +22,7 @@ from apeforge.decoder import (
     reweight,
     write_nbest,
 )
+from apeforge.nmt import checkpoint as ckpt
 from apeforge.nmt import init_model
 
 from conftest import copy_task_pairs
@@ -133,6 +135,26 @@ class TestAssembly:
                     ScorerBinding("two", b, (4,), 1.0),
                 ]
             )
+
+    def test_ensemble_config_with_mismatched_vocab_names_the_scorer(self, tmp_path):
+        """`Ensemble` rejects the config before any input is decoded."""
+        src_vocab = Vocab(["a", "b"])
+        for name, tgt in (("mt", ["x", "y"]), ("src", ["y", "x"])):
+            model = init_model(src_vocab, Vocab(tgt), embedding_dim=2, hidden_dim=2)
+            ckpt.save(model, tmp_path / f"{name}.bin")
+        cfg = tmp_path / "decoder.cfg"
+        cfg.write_text(
+            f"scorer mt model={tmp_path / 'mt.bin'} input=mt weight=1\n"
+            f"scorer src model={tmp_path / 'src.bin'} input=src weight=1\n",
+            encoding="utf-8",
+        )
+        message = (
+            f"{cfg}: scorer 'src' (model {tmp_path / 'src.bin'}) has a different "
+            "target vocabulary from scorer 'mt'"
+        )
+        with pytest.raises(AssemblyError) as exc:
+            Ensemble(cfg)
+        assert str(exc.value) == message
 
     def test_duplicate_names(self):
         vocab = stub_vocab()

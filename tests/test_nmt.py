@@ -83,6 +83,12 @@ class TestGradientCheck:
         )
         assert report.passed
 
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0])
+    def test_tolerance_that_no_gradient_can_pass_is_rejected(self, tolerance):
+        model, sv, tv = tiny_model()
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            gradient_check(model, [sv.id("a")], [tv.id("y")], tolerance=tolerance)
+
     def test_zeroed_output_projection_gives_uniform_loss(self):
         model, sv, tv = tiny_model()
         model.params["out_W"][:] = 0.0
