@@ -397,7 +397,7 @@ def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
     status = "PASS" if report.passed else "FAIL"
     click.echo(
         f"{status}: max relative error {report.max_rel_error:.3e} "
-        f"(tolerance {report.tolerance:.0e})"
+        f"(tolerance {report.tolerance})"
     )
     if not report.passed:
         for entry in report.worst(5):
@@ -414,7 +414,7 @@ def nmt_grad_check(embedding_dim, hidden_dim, seed, tolerance):
 @click.option("--src", "src_path", type=click.Path(exists=True), default=None)
 @click.option("--nbest", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--beam", type=click.IntRange(min=1), default=None,
-              help="Beam width; defaults to --nbest.")
+              help="Beam width, at least --nbest; defaults to --nbest.")
 @click.option("--weights", "weights_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--best-out", "best_path", type=click.Path(), default=None,
@@ -429,6 +429,8 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     is the best non-empty hypothesis of the whole beam, or the MT line
     when every hypothesis is empty.
     """
+    if beam is not None and beam < nbest:
+        raise click.BadParameter(f"{beam} is below --nbest {nbest}", param_hint="'--beam'")
     weights = read_weights(weights_path) if weights_path is not None else {}
     ensemble = Ensemble(config_path)
     for name in weights:
@@ -443,8 +445,7 @@ def decode_cmd(config_path, mt_path, src_path, nbest, beam, weights_path, out_pa
     mt_corpus, *src_side = read_parallel(*paths)
     src_corpus = src_side[0] if src_side else [()] * len(mt_corpus)
 
-    width = beam if beam is not None else nbest
-    width = max(width, nbest)
+    width = nbest if beam is None else beam
     lists = []
     best = []
     truncated = 0
@@ -569,14 +570,14 @@ def synth_corrupt_cmd(
 @click.option("--mono", "mono_path", required=True, type=click.Path(exists=True))
 @click.option("--reverse", "reverse_path", required=True, type=click.Path(exists=True))
 @click.option("--forward", "forward_path", required=True, type=click.Path(exists=True))
-@click.option("--beam", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
-def synth_roundtrip(mono_path, reverse_path, forward_path, beam, out_prefix):
-    """Round-trip monolingual text through two models into triplets."""
+def synth_roundtrip(mono_path, reverse_path, forward_path, out_prefix):
+    """Round-trip monolingual text through two models, decoding greedily,
+    into triplets."""
     mono = read_sentences(mono_path)
     reverse_model = ckpt.load(reverse_path)
     forward_model = ckpt.load(forward_path)
-    result = roundtrip_generate(mono, reverse_model, forward_model, beam=beam)
+    result = roundtrip_generate(mono, reverse_model, forward_model)
     write_triplets(out_prefix, result.triplets)
     click.echo(f"kept {len(result.triplets)} triplets, dropped {result.dropped}")
 

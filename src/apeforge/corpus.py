@@ -269,7 +269,7 @@ def mix(
 
 def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
     """Parse a mix file: one `<corpus-prefix> <factor>` pair per line, each
-    factor an integer >= 1."""
+    factor an integer >= 1, and at least one such line."""
     parts = []
     for lineno, line in text_lines(path):
         line = line.strip()
@@ -285,6 +285,8 @@ def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
         if factor < 1:
             raise ParseError(f"{path}: line {lineno}: factor {factor} must be >= 1")
         parts.append((fields[0], factor))
+    if not parts:
+        raise ParseError(f"{path}: no corpora")
     return parts
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +19,15 @@ class DivergenceError(Exception):
 
 # Batches per length-sorted chunk of an epoch (Nematus's maxi-batch default).
 MAXI_BATCH = 20
+# Adadelta's decay and offset (Zeiler 2012, arXiv:1212.5701), and the gradient-norm clip.
+RHO, EPSILON, CLIP_NORM = 0.95, 1e-6, 1.0
 
 
-# Least value of each integer setting; max_iterations may also be None.
+# Least value of each training-config key but fine_tune_from; all are
+# integers, and max_iterations may also be None. The model sizes come first,
+# then TrainConfig's fields: the order their errors are reported in.
 _MINIMUMS = {
+    "embedding_dim": 1, "hidden_dim": 1, "init_seed": 0,
     "batch_size": 1, "max_sentence_length": 2, "epochs": 1, "shuffle_seed": 0,
     "checkpoint_every": 1, "max_iterations": 1, "log_every": 1,
 }
@@ -33,40 +37,17 @@ _MINIMUMS = {
 class TrainConfig:
     batch_size: int = 80
     max_sentence_length: int = 50
-    rho: float = 0.95
-    epsilon: float = 1e-6
     epochs: int = 1
     shuffle_seed: int = 1234
     checkpoint_every: int = 10000
-    clip_norm: float = 1.0
     max_iterations: int | None = None
     log_every: int = 50
 
     def __post_init__(self):
-        for name, least in _MINIMUMS.items():
-            value = getattr(self, name)
+        for name, value in vars(self).items():
+            least = _MINIMUMS[name]
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be > 0 and < 1")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be > 0 and finite")
-        if not self.clip_norm >= 0.0:
-            raise ValueError("clip_norm must be >= 0")
-
-
-# Training-config keys and the type each value converts to.
-_KEY_TYPES = {
-    **dict.fromkeys(
-        ("embedding_dim", "hidden_dim", "init_seed", "batch_size", "max_sentence_length",
-         "epochs", "shuffle_seed", "checkpoint_every", "max_iterations", "log_every"),
-        int,
-    ),
-    **dict.fromkeys(("rho", "epsilon", "clip_norm"), float),
-    "fine_tune_from": str,
-}
-# Least value of each model-size key; TrainConfig checks the others.
-_MODEL_MINIMUMS = {"embedding_dim": 1, "hidden_dim": 1, "init_seed": 0}
 
 
 def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
@@ -82,23 +63,23 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
         if len(fields) != 2:
             raise ParseError(f"{path}: line {lineno}: expected 'key value'")
         key, value = fields
-        if key not in _KEY_TYPES:
+        if key not in _MINIMUMS and key != "fine_tune_from":
             raise ParseError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"{path}: line {lineno}: key {key!r} given twice")
         try:
-            values[key] = _KEY_TYPES[key](value)
+            values[key] = value if key == "fine_tune_from" else int(value)
         except ValueError:
             raise ParseError(
                 f"{path}: line {lineno}: bad value {value!r} for key {key!r}"
             ) from None
-    fixed = [key for key in _MODEL_MINIMUMS if key in values]
+    fixed = [key for key in ("embedding_dim", "hidden_dim", "init_seed") if key in values]
     if "fine_tune_from" in values and fixed:
         raise ParseError(
             f"{path}: {', '.join(fixed)} cannot be set with fine_tune_from; "
             "the checkpoint fixes them"
         )
-    for key, least in _MODEL_MINIMUMS.items():
+    for key, least in _MINIMUMS.items():
         if values.get(key, least) < least:
             raise ParseError(f"{path}: {key} must be >= {least}")
     if "fine_tune_from" in values:
@@ -109,10 +90,7 @@ def read_train_config(path: str | Path) -> tuple[dict, TrainConfig]:
             "hidden_dim": values.pop("hidden_dim", 32),
             "seed": values.pop("init_seed", 0),
         }
-    try:
-        return model_kw, TrainConfig(**values)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return model_kw, TrainConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -134,22 +112,19 @@ class TrainResult:
 class Adadelta:
     """Learning-rate-free update with decaying squared-gradient averages."""
 
-    def __init__(self, params: dict[str, np.ndarray], rho: float, epsilon: float):
-        self.rho = rho
-        self.epsilon = epsilon
+    def __init__(self, params: dict[str, np.ndarray]):
         self.acc_grad = {k: np.zeros_like(v) for k, v in params.items()}
         self.acc_delta = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        rho, eps = self.rho, self.epsilon
         for name, g in grads.items():
             ag = self.acc_grad[name]
             ad = self.acc_delta[name]
-            ag *= rho
-            ag += (1.0 - rho) * g * g
-            delta = -np.sqrt((ad + eps) / (ag + eps)) * g
-            ad *= rho
-            ad += (1.0 - rho) * delta * delta
+            ag *= RHO
+            ag += (1.0 - RHO) * g * g
+            delta = -np.sqrt((ad + EPSILON) / (ag + EPSILON)) * g
+            ad *= RHO
+            ad += (1.0 - RHO) * delta * delta
             params[name] += delta
 
 
@@ -219,7 +194,7 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    optimizer = Adadelta(model.params, cfg.rho, cfg.epsilon)
+    optimizer = Adadelta(model.params)
     result = TrainResult(model=model, iterations=0, skipped_pairs=skipped)
     interval_losses: list[float] = []
 
@@ -236,7 +211,7 @@ def train(
                 f"(epoch {epoch + 1}, batch {number + 1})"
             )
         grads = backward_batch(model, cache)
-        clip_gradients(grads, cfg.clip_norm)
+        clip_gradients(grads, CLIP_NORM)
         optimizer.step(model.params, grads)
         result.iterations = iteration
         result.losses.append(loss)

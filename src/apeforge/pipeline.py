@@ -145,13 +145,12 @@ def roundtrip_generate(
     mono_pe: Sequence[Sequence[str]],
     reverse_model: Seq2SeqModel,
     forward_model: Seq2SeqModel,
-    beam: int = 1,
 ) -> RoundtripResult:
     """Two-hop translation of monolingual text into full triplets.
 
-    Each sentence p is decoded to a pseudo-source s', s' is decoded back to
-    m', and (s', m', p) is emitted. Sentences whose decodes truncate or come
-    back empty are dropped and counted.
+    Each sentence p is decoded greedily (beam 1) to a pseudo-source s', s'
+    is decoded the same way to m', and (s', m', p) is emitted. Sentences
+    whose decodes truncate or come back empty are dropped and counted.
     """
     reverse = NmtScorer(reverse_model)
     forward = NmtScorer(forward_model)
@@ -160,13 +159,13 @@ def roundtrip_generate(
     for pe in mono_pe:
         pe = tuple(pe)
         rev_ids = tuple(reverse_model.src_vocab.ids(pe))
-        rev = decode([ScorerBinding("reverse", reverse, rev_ids, 1.0)], beam=beam)
+        rev = decode([ScorerBinding("reverse", reverse, rev_ids, 1.0)], beam=1)
         src = rev.entries[0].tokens
         if rev.truncated or not src:
             dropped += 1
             continue
         fwd_ids = tuple(forward_model.src_vocab.ids(src))
-        fwd = decode([ScorerBinding("forward", forward, fwd_ids, 1.0)], beam=beam)
+        fwd = decode([ScorerBinding("forward", forward, fwd_ids, 1.0)], beam=1)
         mt = fwd.entries[0].tokens
         if fwd.truncated or not mt:
             dropped += 1

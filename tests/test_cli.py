@@ -510,15 +510,13 @@ class TestNmtCommands:
             ("max_iterations 0", "max_iterations must be >= 1"),
             ("max_iterations -1", "max_iterations must be >= 1"),
             ("shuffle_seed -1", "shuffle_seed must be >= 0"),
-            ("rho 1.5", "rho must be > 0 and < 1"),
-            ("rho 0", "rho must be > 0 and < 1"),
-            ("rho nan", "rho must be > 0 and < 1"),
-            ("epsilon 0", "epsilon must be > 0 and finite"),
-            ("epsilon inf", "epsilon must be > 0 and finite"),
-            ("clip_norm -1", "clip_norm must be >= 0"),
             ("init_seed -1", "init_seed must be >= 0"),
             ("embedding_dim 0", "embedding_dim must be >= 1"),
             ("hidden_dim 0", "hidden_dim must be >= 1"),
+            # Adadelta's rho and epsilon and the clip norm are constants
+            ("rho 0.9", "line 2: unknown key 'rho'"),
+            ("epsilon 1e-8", "line 2: unknown key 'epsilon'"),
+            ("clip_norm 5", "line 2: unknown key 'clip_norm'"),
         ],
     )
     def test_config_value_outside_its_range_fails(self, runner, tmp_path, line, rule):
@@ -546,6 +544,12 @@ class TestNmtCommands:
         result = runner.invoke(cli, ["nmt", "grad-check"])
         assert result.exit_code == 0, result.output
         assert result.output.startswith("PASS")
+
+    @pytest.mark.parametrize("tolerance", ["0.00025", "0.0015", "0.0012345678"])
+    def test_grad_check_prints_the_tolerance_it_used(self, runner, tolerance):
+        result = runner.invoke(cli, ["nmt", "grad-check", "--tolerance", tolerance])
+        assert result.exit_code in (0, 1), result.output
+        assert result.output.splitlines()[0].endswith(f"(tolerance {tolerance})")
 
 
 @pytest.fixture(scope="module")
@@ -1160,6 +1164,13 @@ def _all_training_pairs_overlong(tmp_path):
     return args, "1 overlong pairs"
 
 
+def _mix_spec_without_corpora(tmp_path):
+    spec = tmp_path / "mix.txt"
+    write(spec, ["# no corpus yet"])
+    args = ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")]
+    return args, f"{spec}: no corpora"
+
+
 def _nonpositive_mix_factor(tmp_path):
     # the corpus exists, so only the factor can be at fault
     write_triplets(tmp_path / "a", [Triplet(src=("s",), mt=("a",), pe=("a",))])
@@ -1345,6 +1356,7 @@ def _scorers_disagree_on_target_vocabulary(tmp_path):
         _arpa_bigram_in_unigram_section,
         _all_training_pairs_overlong,
         _nonpositive_mix_factor,
+        _mix_spec_without_corpora,
         _non_finite_weights_file,
         _non_finite_config_weight,
         _repeated_weight_name,
@@ -1495,7 +1507,7 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("select ter", ["--n", "0"], "'--n'"),
         ("select ter", ["--n", "1", "--traversal-cap", "0"], "'--traversal-cap'"),
         ("select ter", ["--n", "2", "--traversal-cap", "1"], "traversal_cap must be >= n"),
-        ("synth roundtrip", ["--beam", "0"], "'--beam'"),
+        ("decode", ["--nbest", "3", "--beam", "1"], "'--beam'"),
         ("select ter", ["--n", "1", "--outlier-margin", "-0.1"], "'--outlier-margin'"),
         ("nmt grad-check", ["--embedding-dim", "0"], "'--embedding-dim'"),
         ("nmt grad-check", ["--hidden-dim", "0"], "'--hidden-dim'"),

@@ -224,6 +224,12 @@ class TestMix:
         with pytest.raises(ParseError):
             read_mix_spec(p)
 
+    def test_read_mix_spec_without_corpora(self, tmp_path):
+        p = tmp_path / "mix"
+        p.write_text("# no corpus yet\n\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}: no corpora$"):
+            read_mix_spec(p)
+
 
 class TestTextInput:
     def test_lines_as_text_mode_reads_them(self, tmp_path):

@@ -32,7 +32,7 @@ from apeforge.nmt.model import (
     pad_batch,
     param_shapes,
 )
-from apeforge.nmt.training import MAXI_BATCH, _schedule, clip_gradients
+from apeforge.nmt.training import EPSILON, MAXI_BATCH, RHO, _schedule, clip_gradients
 
 from conftest import copy_task_pairs
 from helpers import forward_backward_reference, gru_step_reference, loss_and_grads
@@ -534,11 +534,11 @@ class TestOptimizer:
         return {"a": np.array([3.0, 4.0]), "b": np.array([[12.0]])}
 
     def test_adadelta_step_matches_closed_form(self):
-        rho, eps = 0.95, 1e-6
+        rho, eps = RHO, EPSILON
         params = {"a": np.array([0.5, -1.0]), "b": np.array([[2.0]])}
         start = {k: v.copy() for k, v in params.items()}
         grads = self._grads()
-        opt = Adadelta(params, rho=rho, epsilon=eps)
+        opt = Adadelta(params)
         opt.step(params, grads)
         for name, g in grads.items():
             # from zero accumulators: E[g^2] = (1 - rho) g^2, and the step is

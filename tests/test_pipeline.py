@@ -205,7 +205,7 @@ class TestRoundtripGenerate:
     def test_perfect_copy_models_reconstruct_reference(self, copy_task):
         vocab, pairs, result, _ = copy_task
         mono = [vocab.words(src) for src, _ in pairs[:25]]
-        out = roundtrip_generate(mono, result.model, result.model, beam=1)
+        out = roundtrip_generate(mono, result.model, result.model)
         assert out.dropped == 0
         assert len(out.triplets) == 25
         assert all(t.mt == t.pe == t.src for t in out.triplets)
@@ -213,7 +213,7 @@ class TestRoundtripGenerate:
 
     def test_undertrained_models_leave_noise(self):
         _, mono, model = _toy_copy_setup(seed=3, iterations=150)
-        out = roundtrip_generate(mono, model, model, beam=1)
+        out = roundtrip_generate(mono, model, model)
         assert out.triplets, "undertrained decode should still finish"
         pool_ter = corpus_ter([(t.mt, t.pe) for t in out.triplets])
         assert pool_ter > 1.0
@@ -221,13 +221,13 @@ class TestRoundtripGenerate:
     def test_truncated_decodes_are_dropped(self):
         vocab, mono, model = _toy_copy_setup(seed=3, iterations=0)
         model.params["out_b"][Vocab.EOS] = -1e9
-        out = roundtrip_generate(mono[:4], model, model, beam=1)
+        out = roundtrip_generate(mono[:4], model, model)
         assert out.triplets == []
         assert out.dropped == 4
 
     def test_triplet_pe_side_is_verbatim_input(self):
         _, mono, model = _toy_copy_setup(seed=3, iterations=150)
-        out = roundtrip_generate(mono, model, model, beam=1)
+        out = roundtrip_generate(mono, model, model)
         kept_pe = {t.pe for t in out.triplets}
         assert kept_pe <= {tuple(s) for s in mono}
 
