@@ -46,6 +46,7 @@ from .pipeline import (
     NoiseSpec,
     parse_config as parse_pipeline,
     read_confusion,
+    RoundtripError,
     roundtrip_generate,
     run as run_stages,
     synth_corrupt,
@@ -578,6 +579,11 @@ def synth_roundtrip(mono_path, reverse_path, forward_path, out_prefix):
     reverse_model = ckpt.load(reverse_path)
     forward_model = ckpt.load(forward_path)
     result = roundtrip_generate(mono, reverse_model, forward_model)
+    if not result.triplets:
+        raise RoundtripError(
+            f"--mono {mono_path}: all {result.dropped} sentences dropped (a decode "
+            "truncated or came back empty); no triplets written"
+        )
     write_triplets(out_prefix, result.triplets)
     click.echo(f"kept {len(result.triplets)} triplets, dropped {result.dropped}")
 

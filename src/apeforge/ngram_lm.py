@@ -8,6 +8,17 @@ floor that reserves mass for the unknown token. Probabilities are stored
 fully interpolated, so the ARPA backoff weight of a context is exactly its
 interpolation gamma and file queries reproduce in-memory queries.
 
+`train_lm` estimates on integer ids in array passes. A word's id is its
+rank in sorted order, and the corpus becomes one flat id stream of
+`<s> w... </s>` per sentence. Each order's n-grams are the windows that do
+not cross a sentence, keyed by the rank of their (n-1)-gram prefix times
+the id range plus their last id; `np.unique` over the keys ranks them in
+sorted order and gives their counts and first positions. Context totals and
+discount masses are `np.bincount` sums over the n-grams in first-seen
+order, the order in which a `Counter` over the text would add them, so
+every probability and backoff weight is the same double that dict counting
+gives. The word-tuple dicts are built once at the end, in sorted order.
+
 Cross-entropy is bits per token including the end-of-sentence prediction.
 Moore-Lewis selection sorts by in-domain minus out-of-domain cross-entropy.
 """
@@ -15,10 +26,14 @@ Moore-Lewis selection sorts by in-domain minus out-of-domain cross-entropy.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import CorpusError, Sentence, Vocab, text_lines
 
@@ -27,29 +42,16 @@ EOS = Vocab.RESERVED[Vocab.EOS]
 UNK = Vocab.RESERVED[Vocab.UNK]
 
 LOG10_FLOOR = -99.0  # conventional stand-in for "never predicted"
+# 10 ** x is a positive finite double for x in [_LOG10_TINY, _LOG10_HUGE]
+_LOG10_TINY, _LOG10_HUGE = -323.0, 308.0
 
 
 class LmError(CorpusError):
     pass
 
 
-@dataclass(frozen=True)
-class _Discounts:
-    d1: float
-    d2: float
-    d3: float
-
-    def of(self, count: int) -> float:
-        if count <= 0:
-            return 0.0
-        if count == 1:
-            return self.d1
-        if count == 2:
-            return self.d2
-        return self.d3
-
-
-def _estimate_discounts(counts_of_counts: Counter) -> _Discounts:
+def _estimate_discounts(counts_of_counts: Mapping[int, int]) -> tuple[float, float, float]:
+    """Chen & Goodman's D1, D2, D3+ from the counts of counts 1 to 4."""
     n1 = counts_of_counts.get(1, 0)
     n2 = counts_of_counts.get(2, 0)
     n3 = counts_of_counts.get(3, 0)
@@ -66,7 +68,13 @@ def _estimate_discounts(counts_of_counts: Counter) -> _Discounts:
     d1 = min(max(d1, 0.05), 1.0)
     d2 = min(max(d2, 0.05), 2.0)
     d3 = min(max(d3, 0.05), 3.0)
-    return _Discounts(d1, d2, d3)
+    return d1, d2, d3
+
+
+def _discount_table(counts: np.ndarray) -> np.ndarray:
+    """Each count's discount is `table[min(count, 3)]`; counts are >= 1."""
+    counts_of_counts = dict(enumerate(np.bincount(counts, minlength=5)[:5].tolist()))
+    return np.array([0.0, *_estimate_discounts(counts_of_counts)])
 
 
 class NgramLm:
@@ -101,77 +109,121 @@ class NgramLm:
         return self.bows.get(ctx, 1.0) * self._p(word, ctx[1:])
 
 
+def _id_stream(sentences: list[Sentence]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted words (the markers included), and one flat id stream of
+    `<s> w... </s>` per sentence with each sentence's padded length.
+
+    A word's id is its rank in sorted order, so the n-grams that
+    `_ngram_tables` ranks come out in the order sorted() puts their tuples in.
+    """
+    flat = list(chain.from_iterable(sentences))
+    words = sorted({*flat, BOS, EOS})
+    index = {w: i for i, w in enumerate(words)}
+    tokens = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    bos, eos = index[BOS], index[EOS]
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    markers = np.flatnonzero((tokens == bos) | (tokens == eos))
+    if markers.size:
+        at = int(markers[0])
+        number = int(np.searchsorted(np.cumsum(lengths), at, side="right")) + 1
+        word, role = (BOS, "begin") if tokens[at] == bos else (EOS, "end")
+        raise LmError(f"sentence {number}: {word!r} is the sentence-{role} marker, not a word")
+    padded = lengths + 2
+    ends = np.cumsum(padded)
+    stream = np.full(int(ends[-1]), eos, dtype=np.int64)
+    stream[ends - padded] = bos
+    stream[np.arange(tokens.size) + np.repeat(2 * np.arange(lengths.size) + 1, lengths)] = tokens
+    return words, stream, padded
+
+
+def _ngram_tables(stream: np.ndarray, padded: np.ndarray, order: int, id_range: int):
+    """The distinct n-grams of each order n, ranked in sorted order, as five
+    lists indexed by n: `first` holds each one's first position in the
+    stream, `raw` its count, `ctx` and `suffix` the ranks of its (n-1)-gram
+    prefix and suffix, and `seen` the ranks in the order a Counter over the
+    stream would insert them. N-grams do not cross a sentence."""
+    ends = np.cumsum(padded)
+    room = np.repeat(ends, padded) - np.arange(stream.size)  # positions left in the sentence
+    first, raw, ctx, suffix, seen = ([None] * (order + 1) for _ in range(5))
+    rank = None  # rank of the (n-1)-gram at each position
+    for n in range(1, order + 1):
+        pos = np.flatnonzero(room >= n)
+        # the rank of the n-gram's prefix times the id range, plus its last id
+        keys = stream[pos] if n == 1 else rank[pos] * id_range + stream[pos + n - 1]
+        _, at, inverse, raw[n] = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        first[n], seen[n] = pos[at], np.argsort(at)
+        if n > 1:
+            ctx[n], suffix[n] = rank[first[n]], rank[first[n] + 1]
+        rank = np.empty_like(stream)
+        rank[pos] = inverse
+    return first, raw, ctx, suffix, seen
+
+
 def train_lm(corpus: Iterable[Sentence], order: int = 3) -> NgramLm:
     """Estimate an interpolated modified Kneser-Ney model.
 
     Sentences are padded with one begin marker and one end marker; the end
-    marker is a predicted event, the begin marker is context only.
+    marker is a predicted event, the begin marker is context only, and
+    neither may appear as a word.
     """
     if order < 1:
         raise LmError("order must be >= 1")
     sentences = [tuple(s) for s in corpus]
-    total_tokens = sum(len(s) for s in sentences)
+    total_tokens = sum(map(len, sentences))
     if total_tokens < order:
         raise LmError(
             f"corpus has {total_tokens} tokens; need at least {order} to "
             f"estimate an order-{order} model"
         )
-
-    raw: list[Counter] = [Counter() for _ in range(order + 1)]  # raw[n], n>=1
-    for s in sentences:
-        padded = (BOS,) + s + (EOS,)
-        for n in range(1, order + 1):
-            grams = raw[n]
-            for i in range(len(padded) - n + 1):
-                grams[padded[i : i + n]] += 1
+    words, stream, padded = _id_stream(sentences)
+    first, raw, ctx, suffix, seen = _ngram_tables(stream, padded, order, len(words))
+    bos = words.index(BOS)
 
     # adjusted counts: raw at the top order, continuation counts below,
     # except begin-marker-initial n-grams which cannot be extended left
-    adjusted: list[dict] = [None] * (order + 1)
-    adjusted[order] = dict(raw[order])
+    adjusted = raw[:]
     for n in range(order - 1, 0, -1):
-        preceders: defaultdict = defaultdict(set)
-        for gram in raw[n + 1]:
-            preceders[gram[1:]].add(gram[0])
-        adj = {}
-        for gram, count in raw[n].items():
-            if gram == (BOS,) * n:
-                continue  # pure-begin-marker grams are context only
-            if gram[0] == BOS:
-                adj[gram] = count
-            else:
-                adj[gram] = len(preceders[gram])
-        adjusted[n] = adj
+        extensions = np.bincount(suffix[n + 1], minlength=raw[n].size)
+        adjusted[n] = np.where(stream[first[n]] == bos, raw[n], extensions)
 
-    vocab = frozenset(w for (w,) in adjusted[1]) | {UNK}
-    vocab_size = len(vocab)
-
+    word_of = np.array(words, dtype=object)
+    grams = [None] + [
+        list(zip(*(word_of[stream[first[n] + k]].tolist() for k in range(n))))
+        for n in range(1, order + 1)
+    ]
     probs: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
 
-    # unigrams: interpolate with the uniform distribution over the vocab
-    uni = adjusted[1]
-    disc = _estimate_discounts(Counter(uni.values()))
-    total = sum(uni.values())
-    gamma = sum(disc.of(c) for c in uni.values()) / total
-    for w in vocab:
-        c = uni.get((w,), 0)
-        probs[(w,)] = (max(c - disc.of(c), 0.0) / total) + gamma / vocab_size
+    # unigrams, ranked by word id: interpolate with the uniform distribution
+    # over the vocab; below the top order the begin marker is context only
+    kept = seen[1][seen[1] != bos] if order > 1 else seen[1]
+    events = np.sort(kept)
+    vocab = frozenset(words[i] for i in events.tolist()) | {UNK}
+    vocab_size = len(vocab)
+    c = adjusted[1]
+    d = _discount_table(c[kept])[np.minimum(c, 3)]
+    total = int(c[kept].sum())
+    gamma = sum(d[kept].tolist()) / total
+    lower = np.maximum(c - d, 0.0) / total + gamma / vocab_size
+    probs.update(zip([grams[1][i] for i in events.tolist()], lower[events].tolist()))
+    if (UNK,) not in probs:
+        probs[(UNK,)] = gamma / vocab_size  # count 0 leaves no discounted mass
 
     for n in range(2, order + 1):
-        counts = adjusted[n]
-        disc = _estimate_discounts(Counter(counts.values()))
-        totals: Counter = Counter()
-        disc_mass: Counter = Counter()
-        for gram, c in counts.items():
-            totals[gram[:-1]] += c
-            disc_mass[gram[:-1]] += disc.of(c)
-        for ctx in totals:
-            bows[ctx] = disc_mass[ctx] / totals[ctx]
-        for gram, c in counts.items():
-            ctx = gram[:-1]
-            lower = probs[gram[1:]]
-            probs[gram] = max(c - disc.of(c), 0.0) / totals[ctx] + bows[ctx] * lower
+        c = adjusted[n]
+        d = _discount_table(c)[np.minimum(c, 3)]
+        # bincount adds in the order it is given: the order of `Counter +=`
+        context = ctx[n][seen[n]]
+        totals = np.bincount(context, weights=c[seen[n]], minlength=raw[n - 1].size)
+        mass = np.bincount(context, weights=d[seen[n]], minlength=raw[n - 1].size)
+        used = np.flatnonzero(totals)
+        bow = np.zeros_like(totals)
+        bow[used] = mass[used] / totals[used]
+        bows.update(zip([grams[n - 1][i] for i in used.tolist()], bow[used].tolist()))
+        lower = np.maximum(c - d, 0.0) / totals[ctx[n]] + bow[ctx[n]] * lower[suffix[n]]
+        probs.update(zip(grams[n], lower.tolist()))
 
     return NgramLm(order=order, vocab=vocab, probs=probs, bows=bows)
 
@@ -242,30 +294,35 @@ def write_arpa(lm: NgramLm, path: str | Path) -> None:
     backoff weight is its interpolation gamma, so the written model answers
     every query identically to the in-memory one (up to log/exp rounding).
     """
-    by_order: list[list[tuple[tuple[str, ...], float]]] = [
-        [] for _ in range(lm.order + 1)
-    ]
-    for gram, p in lm.probs.items():
-        by_order[len(gram)].append((gram, p))
-    for grams in by_order:
-        grams.sort(key=lambda gp: gp[0])
-
+    by_order: list[list[tuple[tuple[str, ...], float]]] = [[] for _ in range(lm.order + 1)]
+    for item in lm.probs.items():
+        by_order[len(item[0])].append(item)
+    bows = lm.bows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\\data\\\n")
-        counts = [len(by_order[n]) + (1 if n == 1 else 0) for n in range(lm.order + 1)]
         for n in range(1, lm.order + 1):
-            fh.write(f"ngram {n}={counts[n]}\n")
+            fh.write(f"ngram {n}={len(by_order[n]) + (n == 1)}\n")
         for n in range(1, lm.order + 1):
-            fh.write(f"\n\\{n}-grams:\n")
-            rows = by_order[n]
+            # one linear pass when the n-grams come in sorted order, as
+            # train_lm and read_arpa insert them
+            rows = sorted(by_order[n], key=itemgetter(0))
+            if n < lm.order:
+                lines = [
+                    f"{math.log10(p)!r}\t{' '.join(gram)}\t{math.log10(bows[gram])!r}"
+                    if gram in bows
+                    else f"{math.log10(p)!r}\t{' '.join(gram)}"
+                    for gram, p in rows
+                ]
+            else:
+                lines = [f"{math.log10(p)!r}\t{' '.join(gram)}" for gram, p in rows]
             if n == 1:
-                rows = sorted(rows + [((BOS,), None)], key=lambda gp: gp[0])
-            for gram, p in rows:
-                lp = LOG10_FLOOR if p is None else math.log10(p)
-                line = f"{lp!r}\t{' '.join(gram)}"
-                if n < lm.order and gram in lm.bows:
-                    line += f"\t{math.log10(lm.bows[gram])!r}"
-                fh.write(line + "\n")
+                # the begin marker is context only: listed at the floor, after an equal gram
+                bos = f"{LOG10_FLOOR!r}\t{BOS}"
+                if lm.order > 1 and (BOS,) in bows:
+                    bos += f"\t{math.log10(bows[(BOS,)])!r}"
+                lines.insert(bisect_right(rows, (BOS,), key=itemgetter(0)), bos)
+            lines.append("")
+            fh.write(f"\n\\{n}-grams:\n" + "\n".join(lines))
         fh.write("\n\\end\\\n")
 
 
@@ -279,7 +336,8 @@ def _arpa_number(kind, text, path, lineno):
 def read_arpa(path: str | Path) -> NgramLm:
     """Inverse of write_arpa. Each n-gram is listed once, and every section
     holds as many n-grams as the `\\data\\` section's `ngram N=count` line
-    declares."""
+    declares. A log10 probability lies in [-323, 0] and a log10 backoff
+    weight in [-323, 308], where a power of ten is a positive finite double."""
     probs: dict[tuple[str, ...], float] = {}
     bows: dict[tuple[str, ...], float] = {}
     listed: set[tuple[str, ...]] = set()
@@ -311,6 +369,11 @@ def read_arpa(path: str | Path) -> NgramLm:
         if len(fields) not in (2, 3):
             raise LmError(f"{path}: line {lineno}: malformed n-gram {line!r}")
         lp = _arpa_number(float, fields[0], path, lineno)
+        if not _LOG10_TINY <= lp <= 0.0:  # nan fails too
+            raise LmError(
+                f"{path}: line {lineno}: log10 probability {fields[0]!r} is not in "
+                f"[{_LOG10_TINY:g}, 0]"
+            )
         gram = tuple(fields[1].split(" "))
         if len(gram) != section:
             raise LmError(
@@ -320,7 +383,13 @@ def read_arpa(path: str | Path) -> NgramLm:
             raise LmError(f"{path}: line {lineno}: n-gram {fields[1]!r} given twice")
         listed.add(gram)
         if len(fields) == 3:
-            bows[gram] = 10.0 ** _arpa_number(float, fields[2], path, lineno)
+            lb = _arpa_number(float, fields[2], path, lineno)
+            if not _LOG10_TINY <= lb <= _LOG10_HUGE:
+                raise LmError(
+                    f"{path}: line {lineno}: log10 backoff weight {fields[2]!r} is not in "
+                    f"[{_LOG10_TINY:g}, {_LOG10_HUGE:g}]"
+                )
+            bows[gram] = 10.0 ** lb
         if gram == (BOS,) and lp <= LOG10_FLOOR + 1.0:
             continue  # begin marker is context only, not an event
         probs[gram] = 10.0 ** lp

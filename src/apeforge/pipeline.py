@@ -135,6 +135,10 @@ def synth_corrupt(
     return out
 
 
+class RoundtripError(CorpusError):
+    """A round trip that keeps no sentence."""
+
+
 @dataclass
 class RoundtripResult:
     triplets: list[Triplet]

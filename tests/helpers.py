@@ -12,6 +12,8 @@ import heapq
 import os
 import subprocess
 import sys
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -308,6 +310,152 @@ def tune_rescoring_reference(dev, binding_factory, cfg):
         return [NBestList(i, tuple(entries.values())) for i, entries in enumerate(pool)]
 
     return search_rescoring_reference(pool_for, [t.pe for t in dev], initial, cfg)
+
+
+@dataclass(frozen=True)
+class _Discounts:
+    d1: float
+    d2: float
+    d3: float
+
+    def of(self, count: int) -> float:
+        if count <= 0:
+            return 0.0
+        if count == 1:
+            return self.d1
+        if count == 2:
+            return self.d2
+        return self.d3
+
+
+def _estimate_discounts(counts_of_counts: Counter) -> _Discounts:
+    n1 = counts_of_counts.get(1, 0)
+    n2 = counts_of_counts.get(2, 0)
+    n3 = counts_of_counts.get(3, 0)
+    n4 = counts_of_counts.get(4, 0)
+    d1, d2, d3 = 0.5, 1.0, 1.5  # fallbacks for degenerate histograms
+    if n1 > 0 and n2 > 0:
+        y = n1 / (n1 + 2 * n2)
+        d1 = 1.0 - 2.0 * y * n2 / n1
+        if n3 > 0:
+            d2 = 2.0 - 3.0 * y * n3 / n2
+            if n4 > 0:
+                d3 = 3.0 - 4.0 * y * n4 / n3
+    # keep every bucket strictly discounting but never below zero mass
+    d1 = min(max(d1, 0.05), 1.0)
+    d2 = min(max(d2, 0.05), 2.0)
+    d3 = min(max(d3, 0.05), 3.0)
+    return _Discounts(d1, d2, d3)
+
+
+def train_lm_reference(corpus, order=3):
+    """Interpolated modified Kneser-Ney by dict counting over word tuples:
+    the estimator ngram_lm.train_lm replaced, whose probabilities and
+    backoff weights train_lm must reproduce to the last bit."""
+    from apeforge.ngram_lm import BOS, EOS, UNK, LmError, NgramLm
+
+    if order < 1:
+        raise LmError("order must be >= 1")
+    sentences = [tuple(s) for s in corpus]
+    total_tokens = sum(len(s) for s in sentences)
+    if total_tokens < order:
+        raise LmError(
+            f"corpus has {total_tokens} tokens; need at least {order} to "
+            f"estimate an order-{order} model"
+        )
+
+    raw: list[Counter] = [Counter() for _ in range(order + 1)]  # raw[n], n>=1
+    for s in sentences:
+        padded = (BOS,) + s + (EOS,)
+        for n in range(1, order + 1):
+            grams = raw[n]
+            for i in range(len(padded) - n + 1):
+                grams[padded[i : i + n]] += 1
+
+    # adjusted counts: raw at the top order, continuation counts below,
+    # except begin-marker-initial n-grams which cannot be extended left
+    adjusted: list[dict] = [None] * (order + 1)
+    adjusted[order] = dict(raw[order])
+    for n in range(order - 1, 0, -1):
+        preceders: defaultdict = defaultdict(set)
+        for gram in raw[n + 1]:
+            preceders[gram[1:]].add(gram[0])
+        adj = {}
+        for gram, count in raw[n].items():
+            if gram == (BOS,) * n:
+                continue  # pure-begin-marker grams are context only
+            if gram[0] == BOS:
+                adj[gram] = count
+            else:
+                adj[gram] = len(preceders[gram])
+        adjusted[n] = adj
+
+    vocab = frozenset(w for (w,) in adjusted[1]) | {UNK}
+    vocab_size = len(vocab)
+
+    probs: dict[tuple[str, ...], float] = {}
+    bows: dict[tuple[str, ...], float] = {}
+
+    # unigrams: interpolate with the uniform distribution over the vocab
+    uni = adjusted[1]
+    disc = _estimate_discounts(Counter(uni.values()))
+    total = sum(uni.values())
+    gamma = sum(disc.of(c) for c in uni.values()) / total
+    for w in vocab:
+        c = uni.get((w,), 0)
+        probs[(w,)] = (max(c - disc.of(c), 0.0) / total) + gamma / vocab_size
+
+    for n in range(2, order + 1):
+        counts = adjusted[n]
+        disc = _estimate_discounts(Counter(counts.values()))
+        totals: Counter = Counter()
+        disc_mass: Counter = Counter()
+        for gram, c in counts.items():
+            totals[gram[:-1]] += c
+            disc_mass[gram[:-1]] += disc.of(c)
+        for ctx in totals:
+            bows[ctx] = disc_mass[ctx] / totals[ctx]
+        for gram, c in counts.items():
+            ctx = gram[:-1]
+            lower = probs[gram[1:]]
+            probs[gram] = max(c - disc.of(c), 0.0) / totals[ctx] + bows[ctx] * lower
+
+    return NgramLm(order=order, vocab=vocab, probs=probs, bows=bows)
+
+
+def write_arpa_reference(lm, path):
+    """ARPA text of `lm` written line by line, each order sorted by a key
+    function: the writer ngram_lm.write_arpa replaced, whose bytes
+    write_arpa must reproduce."""
+    import math
+
+    from apeforge.ngram_lm import BOS, LOG10_FLOOR
+
+    by_order: list[list[tuple[tuple[str, ...], float]]] = [
+        [] for _ in range(lm.order + 1)
+    ]
+    for gram, p in lm.probs.items():
+        by_order[len(gram)].append((gram, p))
+    for grams in by_order:
+        grams.sort(key=lambda gp: gp[0])
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\\data\\\n")
+        counts = [len(by_order[n]) + (1 if n == 1 else 0) for n in range(lm.order + 1)]
+        for n in range(1, lm.order + 1):
+            fh.write(f"ngram {n}={counts[n]}\n")
+        for n in range(1, lm.order + 1):
+            fh.write(f"\n\\{n}-grams:\n")
+            rows = by_order[n]
+            if n == 1:
+                rows = sorted(rows + [((BOS,), None)], key=lambda gp: gp[0])
+            for gram, p in rows:
+                lp = LOG10_FLOOR if p is None else math.log10(p)
+                line = f"{lp!r}\t{' '.join(gram)}"
+                if n < lm.order and gram in lm.bows:
+                    line += f"\t{math.log10(lm.bows[gram])!r}"
+                fh.write(line + "\n")
+        fh.write("\n\\end\\\n")
 
 
 def bpe_apply_reference(merges, token: str, end_marker: str = "</w>") -> list[str]:

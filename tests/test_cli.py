@@ -881,6 +881,27 @@ class TestSynthCommands:
         assert [t.pe for t in triplets] == [tuple(line.split()) for line in lines]
         assert all(t.mt == t.pe for t in triplets)
 
+    def test_roundtrip_keeping_nothing_writes_nothing(self, runner, tmp_path):
+        # untrained models that never predict the end marker: every greedy
+        # decode runs to its length cap and is dropped
+        vocab = Vocab(["a", "b"])
+        model = init_model(vocab, vocab, embedding_dim=2, hidden_dim=2)
+        model.params["out_b"][Vocab.EOS] = -1e9
+        ckpt.save(model, tmp_path / "model.bin")
+        mono = tmp_path / "mono.txt"
+        write(mono, ["a b", "b", "b a a"])
+        result = runner.invoke(cli, [
+            "synth", "roundtrip", "--mono", str(mono), "--reverse", str(tmp_path / "model.bin"),
+            "--forward", str(tmp_path / "model.bin"), "--out", str(tmp_path / "rt"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"Error: --mono {mono}: all 3 sentences dropped (a decode truncated or came "
+            "back empty); no triplets written\n"
+        )
+        assert not list(tmp_path.glob("rt*"))
+
 
 PIPELINE_CFG = """\
 # two-stage smoke pipeline
@@ -1333,6 +1354,43 @@ def _scorers_disagree_on_target_vocabulary(tmp_path):
     )
 
 
+def _lm_train_args(tmp_path, lines):
+    write(tmp_path / "in.txt", lines)
+    return ["lm", "train", "--in", str(tmp_path / "in.txt"), "--out", str(tmp_path / "lm.arpa")]
+
+
+def _lm_train_on_begin_marker(tmp_path):
+    args = _lm_train_args(tmp_path, ["ein haus", "a <s> b"])
+    return args, "sentence 2: '<s>' is the sentence-begin marker, not a word"
+
+
+def _lm_train_on_end_marker(tmp_path):
+    args = _lm_train_args(tmp_path, ["a </s> b", "ein haus"])
+    return args, "sentence 1: '</s>' is the sentence-end marker, not a word"
+
+
+def _arpa_logprob_case(logprob):
+    def case(tmp_path):
+        args, model = _lm_xent_args(
+            tmp_path,
+            ["\\data\\", "ngram 1=2", "", "\\1-grams:", f"{logprob}\thaus", "-0.5\t</s>",
+             "", "\\end\\"],
+        )
+        return args, f"{model}: line 5: log10 probability '{logprob}' is not in [-323, 0]"
+
+    case.__name__ = f"_arpa_logprob_{logprob}"
+    return case
+
+
+def _arpa_infinite_backoff(tmp_path):
+    args, model = _lm_xent_args(
+        tmp_path,
+        ["\\data\\", "ngram 1=2", "ngram 2=1", "", "\\1-grams:", "-1.0\thaus\tinf",
+         "-0.5\t</s>", "", "\\2-grams:", "-0.2\thaus </s>", "", "\\end\\"],
+    )
+    return args, f"{model}: line 6: log10 backoff weight 'inf' is not in [-323, 308]"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1377,6 +1435,12 @@ def _scorers_disagree_on_target_vocabulary(tmp_path):
         _non_utf8_pipeline_config,
         _non_utf8_confusion_table,
         _scorers_disagree_on_target_vocabulary,
+        _lm_train_on_begin_marker,
+        _lm_train_on_end_marker,
+        _arpa_logprob_case("-inf"),
+        _arpa_logprob_case("nan"),
+        _arpa_logprob_case("2.5"),
+        _arpa_infinite_backoff,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

@@ -2,11 +2,15 @@
 
 import itertools
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import train_lm_reference, write_arpa_reference
 
 from apeforge.ngram_lm import (
     BOS,
@@ -94,10 +98,77 @@ class TestTraining:
         assert lm1.probs == lm2.probs
         assert lm1.bows == lm2.bows
 
+    @pytest.mark.parametrize("marker, role", [(BOS, "begin"), (EOS, "end")])
+    def test_sentence_marker_as_word_rejected(self, marker, role):
+        with pytest.raises(
+            LmError,
+            match=rf"^sentence 2: {re.escape(repr(marker))} is the sentence-{role} marker, not a word$",
+        ):
+            train_lm([("x", "y"), ("a", marker, "b"), (marker,)])
+
     def test_unk_has_positive_probability(self):
         lm = train_lm([("a", "b", "c")])
         assert lm.prob(UNK) > 0.0
         assert lm.prob("never-seen") == lm.prob(UNK)
+
+
+@st.composite
+def _seeded_corpus(draw):
+    """A seeded corpus with repeated sentences, one-word sentences and words
+    that are prefixes of one another, and an order from 1 to 5."""
+    order = draw(st.integers(1, 5), label="order")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    words = sorted({
+        "".join(rng.choice(list("ab'-Äz"), int(rng.integers(1, 4))))
+        for _ in range(int(rng.integers(1, 40)))
+    })
+    if rng.random() < 0.2:
+        words.append(UNK)
+    corpus = []
+    for _ in range(int(rng.integers(1, 25))):
+        roll = rng.random()
+        if corpus and roll < 0.25:
+            corpus.append(corpus[int(rng.integers(len(corpus)))])
+        else:
+            n = 1 if roll < 0.5 else int(rng.integers(1, 12))
+            corpus.append(tuple(words[i] for i in rng.integers(0, len(words), n)))
+    assume(sum(map(len, corpus)) >= order)
+    return corpus, order
+
+
+def _arpa_bytes(write, lm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.arpa"
+        write(lm, path)
+        return path.read_bytes()
+
+
+class TestMatchesDictCounting:
+    """train_lm and write_arpa give the dict-counting estimator's model and
+    file to the last bit."""
+
+    @staticmethod
+    def _assert_same(corpus, order):
+        lm, ref = train_lm(corpus, order=order), train_lm_reference(corpus, order=order)
+        assert lm.order == ref.order
+        assert lm.vocab == ref.vocab
+        assert lm.probs == ref.probs
+        assert lm.bows == ref.bows
+        assert _arpa_bytes(write_arpa, lm) == _arpa_bytes(write_arpa_reference, ref)
+
+    @given(_seeded_corpus())
+    @settings(max_examples=150, deadline=None)
+    def test_seeded_corpora(self, case):
+        self._assert_same(*case)
+
+    def test_order_7_beyond_int64_key_packing(self):
+        # packing a 7-gram as sum(id * V**k) would overflow int64 here
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(700)]
+        corpus = _rng_corpus(rng, words, 400, max_len=15)
+        distinct = {w for s in corpus for w in s}
+        assert len(distinct) > 600 and (len(distinct) + 2) ** 7 > 2**63
+        self._assert_same(corpus, 7)
 
 
 class TestCrossEntropy:
@@ -252,6 +323,26 @@ class TestArpa:
         path = self._arpa(tmp_path, ["ngram 1=2", "ngram 1=2"], ["-1.0\thaus", "-1.0\t</s>"])
         with pytest.raises(LmError, match=r"line 3: count of 1-grams given twice"):
             read_arpa(path)
+
+    @pytest.mark.parametrize("logprob", ["-inf", "nan", "2.5", "1e-9", "-400"])
+    def test_log10_probability_outside_range_rejected(self, tmp_path, logprob):
+        path = self._arpa(tmp_path, ["ngram 1=2"], [f"{logprob}\thaus", "-1.0\t</s>"])
+        message = f"{path}: line 5: log10 probability '{logprob}' is not in [-323, 0]"
+        with pytest.raises(LmError, match=f"^{re.escape(message)}$"):
+            read_arpa(path)
+
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "400", "-400"])
+    def test_log10_backoff_weight_outside_range_rejected(self, tmp_path, weight):
+        path = self._arpa(tmp_path, ["ngram 1=2"], ["-1.0\thaus", f"-1.0\t</s>\t{weight}"])
+        message = f"{path}: line 6: log10 backoff weight '{weight}' is not in [-323, 308]"
+        with pytest.raises(LmError, match=f"^{re.escape(message)}$"):
+            read_arpa(path)
+
+    def test_range_ends_load(self, tmp_path):
+        path = self._arpa(tmp_path, ["ngram 1=2"], ["0\thaus\t308", "-323\t</s>\t-323"])
+        lm = read_arpa(path)
+        assert lm.probs == {("haus",): 1.0, ("</s>",): 10.0**-323}
+        assert lm.bows == {("haus",): 1e308, ("</s>",): 10.0**-323}
 
     def test_consistent_hand_written_file_loads(self, tmp_path):
         path = self._arpa(tmp_path, ["ngram 1=2"], ["-1.0\thaus", "-0.5\t</s>"])
