@@ -62,14 +62,19 @@ from .triplet_select import (
 from .tuner import TuneConfig, read_weights, tune, write_weights
 
 class _Commands(click.Group):
-    """Reports an input the toolkit cannot use (any CorpusError) as one
-    `Error: <message>` line and exit status 1, instead of a traceback."""
+    """Reports an input the toolkit cannot use (any CorpusError) or a file it
+    cannot open (an OSError naming the file) as one `Error: <message>` line
+    and exit status 1, instead of a traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except CorpusError as exc:
             raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            if exc.filename is None:
+                raise
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}") from exc
 
 
 @click.group(cls=_Commands)
@@ -614,23 +619,12 @@ def _stage_action(args: list[str]):
 @cli.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def run_cmd(config_path):
-    """Execute a declared stage graph inside its workspace.
-
-    The workspace is taken from APEFORGE_WORKSPACE when set, then from the
-    config's `workspace` directive (relative to the config file), then the
-    config file's own directory.
-    """
+    """Execute a declared stage graph inside its workspace: the directory
+    APEFORGE_WORKSPACE names when it is set, else the config file's own
+    directory."""
     config_path = Path(config_path)
-    declared, stages = parse_pipeline(
-        read_text(config_path), str(config_path), _stage_action
-    )
-    env = os.environ.get("APEFORGE_WORKSPACE")
-    if env:
-        workspace = Path(env)
-    elif declared is not None:
-        workspace = config_path.parent / declared
-    else:
-        workspace = config_path.parent
+    stages = parse_pipeline(read_text(config_path), str(config_path), _stage_action)
+    workspace = Path(os.environ.get("APEFORGE_WORKSPACE") or config_path.parent)
     report = run_stages(workspace, stages)
     for name in report.executed:
         click.echo(f"ran {name}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -44,6 +44,9 @@ UNK = Vocab.RESERVED[Vocab.UNK]
 LOG10_FLOOR = -99.0  # conventional stand-in for "never predicted"
 # 10 ** x is a positive finite double for x in [_LOG10_TINY, _LOG10_HUGE]
 _LOG10_TINY, _LOG10_HUGE = -323.0, 308.0
+# write_arpa's lines per write: each order of a model of a few thousand
+# sentences is one write
+_ARPA_LINES_PER_WRITE = 1 << 15
 
 
 class LmError(CorpusError):
@@ -197,8 +200,8 @@ def train_lm(corpus: Iterable[Sentence], order: int = 3) -> NgramLm:
     bows: dict[tuple[str, ...], float] = {}
 
     # unigrams, ranked by word id: interpolate with the uniform distribution
-    # over the vocab; below the top order the begin marker is context only
-    kept = seen[1][seen[1] != bos] if order > 1 else seen[1]
+    # over the vocab; the begin marker is context only
+    kept = seen[1][seen[1] != bos]
     events = np.sort(kept)
     vocab = frozenset(words[i] for i in events.tolist()) | {UNK}
     vocab_size = len(vocab)
@@ -307,22 +310,26 @@ def write_arpa(lm: NgramLm, path: str | Path) -> None:
             # train_lm and read_arpa insert them
             rows = sorted(by_order[n], key=itemgetter(0))
             if n < lm.order:
-                lines = [
+                lines = (
                     f"{math.log10(p)!r}\t{' '.join(gram)}\t{math.log10(bows[gram])!r}"
                     if gram in bows
                     else f"{math.log10(p)!r}\t{' '.join(gram)}"
                     for gram, p in rows
-                ]
+                )
             else:
-                lines = [f"{math.log10(p)!r}\t{' '.join(gram)}" for gram, p in rows]
+                lines = (f"{math.log10(p)!r}\t{' '.join(gram)}" for gram, p in rows)
             if n == 1:
                 # the begin marker is context only: listed at the floor, after an equal gram
                 bos = f"{LOG10_FLOOR!r}\t{BOS}"
-                if lm.order > 1 and (BOS,) in bows:
+                if (BOS,) in bows:
                     bos += f"\t{math.log10(bows[(BOS,)])!r}"
-                lines.insert(bisect_right(rows, (BOS,), key=itemgetter(0)), bos)
-            lines.append("")
-            fh.write(f"\n\\{n}-grams:\n" + "\n".join(lines))
+                at = bisect_right(rows, (BOS,), key=itemgetter(0))
+                lines = chain(islice(lines, at), [bos], lines)
+            fh.write(f"\n\\{n}-grams:\n")
+            # a bounded number of lines in memory at once
+            while chunk := list(islice(lines, _ARPA_LINES_PER_WRITE)):
+                chunk.append("")
+                fh.write("\n".join(chunk))
         fh.write("\n\\end\\\n")
 
 

@@ -35,8 +35,8 @@ class PipelineError(CorpusError):
 
 
 class PipelineConfigError(CorpusError):
-    """Invalid stage graph (cycles, duplicate names or outputs, bad deps) or
-    a workspace manifest that is not a JSON object of stage records."""
+    """Invalid stage graph (cycles, duplicate names or outputs) or a
+    workspace manifest that is not a JSON object of stage records."""
 
 
 def cipher_token(token: str) -> str:
@@ -186,31 +186,26 @@ class Stage:
     action: Callable[[Path], None]
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
-    deps: tuple[str, ...] = ()
 
 
 def parse_config(
     text: str,
     source: str,
     action_for: Callable[[list[str]], Callable[[Path], None]],
-) -> tuple[str | None, list[Stage]]:
-    """Line-oriented stage declarations.
-
-    Outside a block: `workspace <dir>` (optional, once). A block is
+) -> list[Stage]:
+    """Line-oriented stage declarations, a sequence of blocks
 
         stage <name>
           in <file> ...
           out <file> ...
-          deps <stage> ...
           cmd <subcommand and arguments>
         end
 
-    with `in`, `out` and `deps` optional and repeatable; `cmd` is required.
-    '#' starts a comment. A stage's action is `action_for(args)`, where args
-    are the shell-split `cmd` words without a leading `apeforge`. Returns
-    (workspace or None, stages); errors start with `source`.
+    with `in` and `out` optional and repeatable; `cmd` is required. A stage
+    runs after the stages that produce its `in` files. '#' starts a comment.
+    A stage's action is `action_for(args)`, where args are the shell-split
+    `cmd` words without a leading `apeforge`. Errors start with `source`.
     """
-    workspace = None
     stages: list[Stage] = []
     current = None
 
@@ -221,26 +216,13 @@ def parse_config(
         fields = line.split()
         directive = fields[0]
         if current is None:
-            if directive == "workspace":
-                if len(fields) != 2:
-                    fail(lineno, "workspace takes one path")
-                if workspace is not None:
-                    fail(lineno, "duplicate workspace directive")
-                workspace = fields[1]
-            elif directive == "stage":
-                if len(fields) != 2:
-                    fail(lineno, "stage takes one name")
-                current = {
-                    "name": fields[1],
-                    "in": [],
-                    "out": [],
-                    "deps": [],
-                    "cmd": None,
-                }
-            else:
+            if directive != "stage":
                 fail(lineno, f"unknown directive {directive!r}")
+            if len(fields) != 2:
+                fail(lineno, "stage takes one name")
+            current = {"name": fields[1], "in": [], "out": [], "cmd": None}
             continue
-        if directive in ("in", "out", "deps"):
+        if directive in ("in", "out"):
             if len(fields) < 2:
                 fail(lineno, f"{directive} needs at least one value")
             current[directive].extend(fields[1:])
@@ -266,7 +248,6 @@ def parse_config(
                     action=action_for(args),
                     inputs=tuple(current["in"]),
                     outputs=tuple(current["out"]),
-                    deps=tuple(current["deps"]),
                 )
             )
             current = None
@@ -274,7 +255,7 @@ def parse_config(
             fail(lineno, f"unknown stage directive {directive!r}")
     if current is not None:
         raise ParseError(f"{source}: stage {current['name']!r} not closed with 'end'")
-    return workspace, stages
+    return stages
 
 
 @dataclass
@@ -318,13 +299,8 @@ def _topological_order(stages: Sequence[Stage]) -> list[Stage]:
 
     graph: TopologicalSorter[str] = TopologicalSorter()
     for stage in stages:
-        for dep in stage.deps:
-            if dep not in names:
-                raise PipelineConfigError(
-                    f"stage {stage.name!r} depends on unknown stage {dep!r}"
-                )
         made_by = (producer[rel] for rel in stage.inputs if rel in producer)
-        graph.add(stage.name, *stage.deps, *(p for p in made_by if p != stage.name))
+        graph.add(stage.name, *(p for p in made_by if p != stage.name))
     try:
         graph.prepare()
     except CycleError as exc:

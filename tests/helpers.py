@@ -375,7 +375,8 @@ def train_lm_reference(corpus, order=3):
     # adjusted counts: raw at the top order, continuation counts below,
     # except begin-marker-initial n-grams which cannot be extended left
     adjusted: list[dict] = [None] * (order + 1)
-    adjusted[order] = dict(raw[order])
+    # the begin marker is context only at every order, the top one included
+    adjusted[order] = {g: c for g, c in raw[order].items() if g != (BOS,) * order}
     for n in range(order - 1, 0, -1):
         preceders: defaultdict = defaultdict(set)
         for gram in raw[n + 1]:

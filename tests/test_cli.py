@@ -193,6 +193,19 @@ class TestLmCommands:
         assert result.exit_code == 0, result.output
         float(result.output.strip())
 
+    def test_order_1_model_scores(self, runner, tmp_path):
+        corpus = tmp_path / "in.txt"
+        write(corpus, ["a b", "c"])
+        model = tmp_path / "o1.arpa"
+        args = ["lm", "train", "--in", str(corpus), "--order", "1", "--out", str(model)]
+        assert runner.invoke(cli, args).exit_code == 0
+        assert model.read_text().count("\t<s>\n") == 1
+        result = runner.invoke(
+            cli, ["lm", "xent", "--model", str(model), "--in", str(corpus)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == "2.1006\n"
+
     def test_train_with_token_budget(self, runner, tmp_path):
         corpus = tmp_path / "in.txt"
         write(corpus, IN_DOMAIN)
@@ -945,28 +958,20 @@ class TestRunCommand:
         assert "skipped corrupt (unchanged)" in result.output
         assert "skipped score (unchanged)" in result.output
 
-    def test_workspace_directive_is_relative_to_config(self, runner, tmp_path):
+    def test_env_variable_places_the_run(self, runner, tmp_path):
         cfg = tmp_path / "pipe.cfg"
-        cfg.write_text("workspace ws\n" + PIPELINE_CFG)
-        self._seed_workspace(tmp_path / "ws")
-        result = runner.invoke(cli, ["run", "--config", str(cfg)])
-        assert result.exit_code == 0, result.output
-        assert (tmp_path / "ws" / "table.tsv").exists()
-        assert not (tmp_path / "table.tsv").exists()
-
-    def test_env_variable_overrides_workspace(self, runner, tmp_path):
-        cfg = tmp_path / "pipe.cfg"
-        cfg.write_text("workspace ignored\n" + PIPELINE_CFG)
-        override = tmp_path / "elsewhere"
-        self._seed_workspace(override)
+        cfg.write_text(PIPELINE_CFG)
+        elsewhere = tmp_path / "elsewhere"
+        self._seed_workspace(elsewhere)
         result = runner.invoke(
             cli,
             ["run", "--config", str(cfg)],
-            env={"APEFORGE_WORKSPACE": str(override)},
+            env={"APEFORGE_WORKSPACE": str(elsewhere)},
         )
         assert result.exit_code == 0, result.output
-        assert (override / "table.tsv").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert (elsewhere / "table.tsv").exists()
+        assert (elsewhere / MANIFEST_NAME).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "pipe.cfg"]
 
     def test_manifest_is_valid_json(self, runner, tmp_path):
         cfg = tmp_path / "pipe.cfg"
@@ -1391,6 +1396,39 @@ def _arpa_infinite_backoff(tmp_path):
     return args, f"{model}: line 6: log10 backoff weight 'inf' is not in [-323, 308]"
 
 
+def _deps_line_in_pipeline_config(tmp_path):
+    cfg = tmp_path / "pipe.cfg"
+    write(cfg, ["stage a", "deps b", "cmd eval --metric ter --hyp x.txt --ref x.txt", "end"])
+    return ["run", "--config", str(cfg)], f"{cfg}: line 2: unknown stage directive 'deps'"
+
+
+def _workspace_line_in_pipeline_config(tmp_path):
+    cfg = tmp_path / "pipe.cfg"
+    write(cfg, ["workspace ws", "stage a", "cmd eval --metric ter --hyp x.txt --ref x.txt", "end"])
+    return ["run", "--config", str(cfg)], f"{cfg}: line 1: unknown directive 'workspace'"
+
+
+def _sentences_into_missing_directory(tmp_path):
+    write(tmp_path / "in.txt", ["ein haus"])
+    out = tmp_path / "nodir" / "y.txt"
+    args = ["bpe", "revert", "--in", str(tmp_path / "in.txt"), "--out", str(out)]
+    return args, f"{out}: No such file or directory"
+
+
+def _triplets_into_missing_directory(tmp_path):
+    write(tmp_path / "pe.txt", ["ein haus"])
+    out = tmp_path / "nodir" / "p"
+    args = ["synth", "corrupt", "--pe", str(tmp_path / "pe.txt"), "--out", str(out)]
+    return args, f"{out}.src: No such file or directory"
+
+
+def _arpa_into_missing_directory(tmp_path):
+    write(tmp_path / "in.txt", ["ein haus am see"])
+    out = tmp_path / "nodir" / "x.arpa"
+    args = ["lm", "train", "--in", str(tmp_path / "in.txt"), "--out", str(out)]
+    return args, f"{out}: No such file or directory"
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -1441,6 +1479,11 @@ def _arpa_infinite_backoff(tmp_path):
         _arpa_logprob_case("nan"),
         _arpa_logprob_case("2.5"),
         _arpa_infinite_backoff,
+        _deps_line_in_pipeline_config,
+        _workspace_line_in_pipeline_config,
+        _sentences_into_missing_directory,
+        _triplets_into_missing_directory,
+        _arpa_into_missing_directory,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):

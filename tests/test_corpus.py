@@ -320,12 +320,12 @@ class TestConfigLineNumbers:
     @pytest.mark.parametrize("brk", _INLINE_BREAKS)
     def test_pipeline_config(self, tmp_path, brk):
         path = tmp_path / "pipe.cfg"
-        text = f"workspace ws # was{brk}workspace other\nstage a\ncmd eval\nend\n"
+        text = f"stage a # was{brk}stage b\ncmd eval\nend\n"
         path.write_text(text, encoding="utf-8")
-        workspace, stages = parse_config(read_text(path), str(path), lambda args: None)
-        assert (workspace, [stage.name for stage in stages]) == ("ws", ["a"])
+        stages = parse_config(read_text(path), str(path), lambda args: None)
+        assert [stage.name for stage in stages] == ["a"]
         path.write_text(text + "bogus\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 5: unknown directive 'bogus'$"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 4: unknown directive 'bogus'$"):
             parse_config(read_text(path), str(path), lambda args: None)
 
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from helpers import train_lm_reference, write_arpa_reference
 
+from apeforge import ngram_lm
 from apeforge.ngram_lm import (
     BOS,
     EOS,
@@ -105,6 +106,11 @@ class TestTraining:
             match=rf"^sentence 2: {re.escape(repr(marker))} is the sentence-{role} marker, not a word$",
         ):
             train_lm([("x", "y"), ("a", marker, "b"), (marker,)])
+
+    def test_order_1_begin_marker_is_context_only(self):
+        lm = train_lm([("a", "b"), ("c",)], order=1)
+        assert BOS not in lm.vocab and (BOS,) not in lm.probs
+        assert sum(lm.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_unk_has_positive_probability(self):
         lm = train_lm([("a", "b", "c")])
@@ -251,6 +257,14 @@ class TestArpa:
         write_arpa(lm, p1)
         write_arpa(lm, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("lines_per_write", [1, 2, 3, 5])
+    def test_bytes_do_not_depend_on_lines_per_write(self, tmp_path, monkeypatch, lines_per_write):
+        lm = self._model()
+        write_arpa_reference(lm, tmp_path / "reference.arpa")
+        monkeypatch.setattr(ngram_lm, "_ARPA_LINES_PER_WRITE", lines_per_write)
+        write_arpa(lm, tmp_path / "chunked.arpa")
+        assert (tmp_path / "chunked.arpa").read_bytes() == (tmp_path / "reference.arpa").read_bytes()
 
     def test_format_shape(self, tmp_path):
         lm = train_lm([("a", "b", "c")] * 4)

@@ -232,28 +232,25 @@ class TestRoundtripGenerate:
         assert kept_pe <= {tuple(s) for s in mono}
 
 
-def _write_stage(name, path, content, inputs=(), deps=()):
+def _write_stage(name, path, content, inputs=()):
     def action(ws):
         (ws / path).write_text(content)
 
-    return Stage(
-        name=name, action=action, inputs=tuple(inputs), outputs=(path,), deps=tuple(deps)
-    )
+    return Stage(name=name, action=action, inputs=tuple(inputs), outputs=(path,))
 
 
-def _concat_stage(name, src, dst, deps=()):
+def _concat_stage(name, src, dst):
     def action(ws):
         (ws / dst).write_text((ws / src).read_text() + f"+{name}")
 
-    return Stage(name=name, action=action, inputs=(src,), outputs=(dst,), deps=tuple(deps))
+    return Stage(name=name, action=action, inputs=(src,), outputs=(dst,))
 
 
 class TestParseConfig:
     def test_stage_block_builds_action_from_cmd(self):
         seen = []
-        workspace, stages = parse_config(
-            "workspace ws  # relative\n"
-            "stage a\n"
+        stages = parse_config(
+            "stage a  # first\n"
             "in x.txt\n"
             "out y.txt z.txt\n"
             "cmd apeforge eval --hyp 'a b.txt'\n"
@@ -261,7 +258,6 @@ class TestParseConfig:
             "pipe.cfg",
             lambda args: seen.append(args) or len(seen),
         )
-        assert workspace == "ws"
         assert seen == [["eval", "--hyp", "a b.txt"]]
         assert stages == [Stage("a", 1, inputs=("x.txt",), outputs=("y.txt", "z.txt"))]
 
@@ -289,21 +285,16 @@ class TestStageGraph:
         with pytest.raises(PipelineConfigError, match="produced by both"):
             run(tmp_path, stages)
 
-    def test_unknown_dependency_rejected(self, tmp_path):
-        stage = Stage(name="a", action=lambda ws: None, deps=("ghost",))
-        with pytest.raises(PipelineConfigError, match="unknown stage 'ghost'"):
-            run(tmp_path, [stage])
-
     def test_cycle_rejected(self, tmp_path):
-        a = Stage(name="a", action=lambda ws: None, deps=("b",))
-        b = Stage(name="b", action=lambda ws: None, deps=("a",))
+        a = _concat_stage("a", "y.txt", "x.txt")
+        b = _concat_stage("b", "x.txt", "y.txt")
         with pytest.raises(PipelineConfigError, match="cycle among: a, b"):
             run(tmp_path, [a, b])
 
     def test_cycle_error_names_only_the_cycle(self, tmp_path):
-        a = Stage(name="a", action=lambda ws: None, deps=("b",))
-        b = Stage(name="b", action=lambda ws: None, deps=("a",))
-        c = Stage(name="c", action=lambda ws: None, deps=("a",))
+        a = _concat_stage("a", "y.txt", "x.txt")
+        b = _concat_stage("b", "x.txt", "y.txt")
+        c = _concat_stage("c", "x.txt", "z.txt")
         with pytest.raises(PipelineConfigError) as exc:
             run(tmp_path, [a, b, c])
         assert str(exc.value) == "stage cycle among: a, b"
@@ -323,7 +314,6 @@ class TestStageGraph:
                 action=action,
                 inputs=stage.inputs,
                 outputs=stage.outputs,
-                deps=stage.deps,
             )
 
         consumer = tracked(_concat_stage("late", "a.txt", "b.txt"))
@@ -332,13 +322,6 @@ class TestStageGraph:
         assert order == ["early", "late"]
         assert report.executed == ["early", "late"]
         assert (tmp_path / "b.txt").read_text() == "seed+late"
-
-    def test_explicit_deps_order_stages(self, tmp_path):
-        order = []
-        a = Stage(name="a", action=lambda ws: order.append("a"), deps=("b",))
-        b = Stage(name="b", action=lambda ws: order.append("b"))
-        run(tmp_path, [a, b])
-        assert order == ["b", "a"]
 
     def test_declaration_order_breaks_ties(self, tmp_path):
         order = []
@@ -380,7 +363,7 @@ class TestStageExecution:
             raise RuntimeError("disk on fire")
 
         ok = _write_stage("ok", "a.txt", "done")
-        bad = Stage(name="bad", action=boom, deps=("ok",))
+        bad = Stage(name="bad", action=boom, inputs=("a.txt",))
         with pytest.raises(PipelineError, match="'bad' failed: disk on fire"):
             run(tmp_path, [ok, bad])
         assert (tmp_path / "a.txt").read_text() == "done"
