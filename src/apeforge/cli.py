@@ -315,12 +315,11 @@ def select_ter(
     report_path,
 ):
     """Pick pool triplets whose edit statistics match the reference set."""
-    try:
-        cfg = SelectionConfig(
-            n=n, traversal_cap=traversal_cap, normalize=not no_normalize
+    if traversal_cap < n:
+        raise click.BadParameter(
+            f"{traversal_cap} is below --n {n}", param_hint="'--traversal-cap'"
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    cfg = SelectionConfig(n=n, traversal_cap=traversal_cap, normalize=not no_normalize)
     pool = read_triplets(pool_prefix)
     reference = read_triplets(ref_prefix)
     filtered = outlier_filter(pool, reference, margin=margin)

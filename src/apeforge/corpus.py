@@ -269,7 +269,8 @@ def mix(
 
 def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
     """Parse a mix file: one `<corpus-prefix> <factor>` pair per line, each
-    factor an integer >= 1, and at least one such line."""
+    factor an integer >= 1 and each prefix named once, and at least one such
+    line."""
     parts = []
     for lineno, line in text_lines(path):
         line = line.strip()
@@ -284,6 +285,8 @@ def read_mix_spec(path: str | Path) -> list[tuple[str, int]]:
             raise ParseError(f"{path}: line {lineno}: bad factor {fields[1]!r}")
         if factor < 1:
             raise ParseError(f"{path}: line {lineno}: factor {factor} must be >= 1")
+        if any(prefix == fields[0] for prefix, _ in parts):
+            raise ParseError(f"{path}: line {lineno}: corpus {fields[0]!r} given twice")
         parts.append((fields[0], factor))
     if not parts:
         raise ParseError(f"{path}: no corpora")

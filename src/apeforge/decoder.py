@@ -161,6 +161,7 @@ def decode(
         raise ValueError("beam must be >= 1")
     names = feature_names((b.name for b in bindings), pep)
     pep_vec = pep.vector(len(vocab)) if pep is not None else None
+    pep_inc = pep.weight * pep_vec if pep is not None else None
 
     # live hypotheses, one row each: emitted ids, feature totals, raw score
     ids: list[tuple[int, ...]] = [()]
@@ -173,14 +174,17 @@ def decode(
 
     for _ in range(cap):
         logps = []
-        inc = np.zeros((len(ids), len(vocab)))
         for i, binding in enumerate(bindings):
             lp, states[i] = binding.scorer.step(states[i], moves)
             logps.append(lp)
+        # one (B, V) buffer: the weighted scorer terms, pep, then the totals
+        inc = bindings[0].weight * logps[0]
+        for binding, lp in zip(bindings[1:], logps[1:]):
             inc += binding.weight * lp
-        if pep_vec is not None:
-            inc += pep.weight * pep_vec
-        scores = (combined[:, None] + inc).ravel()
+        if pep_inc is not None:
+            inc += pep_inc
+        inc += combined[:, None]
+        scores = inc.ravel()
 
         # every entry tied with the beam-th best survives the cut
         k = min(beam, scores.size)
@@ -228,17 +232,6 @@ def decode(
         entries=tuple(e[2] for e in entries[:beam]),
         truncated=truncated,
     )
-
-
-def exact_accuracy(model: Seq2SeqModel, pairs) -> float:
-    """Fraction of (source ids, target ids) pairs whose beam-1 decode with
-    `model` alone reproduces the target exactly."""
-    scorer = NmtScorer(model)
-    hits = 0
-    for src, tgt in pairs:
-        best = decode([ScorerBinding("nmt", scorer, tuple(src), 1.0)], beam=1)
-        hits += best.entries[0].tokens == model.tgt_vocab.words(tgt)
-    return hits / len(pairs)
 
 
 def write_nbest(lists: Iterable[NBestList], path: str | Path) -> None:

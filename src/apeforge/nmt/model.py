@@ -10,6 +10,14 @@ differences (see gradient_check).
 All math runs in float64 for checkable gradients. Attention and the output
 layer contract through (batched) BLAS products, and the backward pass runs
 the output layer for all target steps at once.
+
+Every forward product `x @ W.T` by `att_W`, `out_W` or a GRU's `W`, `Uzr`
+and `Uh` reads a C-contiguous copy of `W.T` (`_step_weights`), made once
+per `forward_batch` and once per `DecodeState.start` and carried by the
+`_Encoder` every step receives. The copies are never kept across calls:
+training and `gradient_check` change `params` in place. Step temporaries
+(bias adds, gate non-linearities, softmaxes) are written in place, and a
+step skips its mask arithmetic when every row is live.
 """
 
 from __future__ import annotations
@@ -29,18 +37,26 @@ class InputError(Exception):
     """Token ids outside the model's vocabulary ranges."""
 
 
+# The three functions below overwrite and return their argument.
 def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def _log_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    x -= x.max(axis=-1, keepdims=True)
+    x -= np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 # gradient_check: finite-difference step and coordinates probed per tensor.
@@ -144,9 +160,28 @@ def batch_arrays(pairs) -> tuple[np.ndarray, ...]:
     return src_ids, src_mask, tgt_in, tgt_out, tgt_mask
 
 
+# Weights that forward steps multiply as `x @ W.T`.
+_TRANSPOSED = ("att_W", "out_W") + tuple(
+    f"{prefix}_{w}" for prefix in ("enc_f", "enc_b", "dec") for w in ("W", "Uzr", "Uh")
+)
+
+
+def _step_weights(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`params` plus, under `<name>.T`, a C-contiguous copy of `W.T` for each
+    weight in _TRANSPOSED: at the few rows of a beam step, BLAS multiplies
+    by it about twice as fast as by the F-ordered view `W.T`. Build it
+    afresh for each pass, as `params` may have changed in place."""
+    weights = dict(params)
+    for name in _TRANSPOSED:
+        weights[name + ".T"] = np.ascontiguousarray(params[name].T)
+    return weights
+
+
 class _GruStep:
     """One masked GRU step with enough saved state to run backward; `zr`
-    holds the z and r gates side by side."""
+    holds the z and r gates side by side. `p` holds the step weights
+    (_step_weights); `m` is the (B,) 0/1 row mask, None when every row is
+    live."""
 
     __slots__ = ("x", "h_prev", "zr", "c", "m", "h")
 
@@ -155,18 +190,27 @@ class _GruStep:
         self.x = x
         self.h_prev = h_prev
         self.m = m
-        a = x @ p[prefix + "_W"].T + p[prefix + "_b"]  # (B, 3H)
-        self.zr = _sigmoid(a[:, : 2 * hd] + h_prev @ p[prefix + "_Uzr"].T)
+        a = x @ p[prefix + "_W.T"]  # (B, 3H)
+        a += p[prefix + "_b"]
+        zr = h_prev @ p[prefix + "_Uzr.T"]
+        zr += a[:, : 2 * hd]
+        self.zr = _sigmoid(zr)
         z, r = self.zr[:, :hd], self.zr[:, hd:]
-        self.c = np.tanh(a[:, 2 * hd :] + (r * h_prev) @ p[prefix + "_Uh"].T)
-        h_new = (1.0 - z) * h_prev + z * self.c
-        self.h = m[:, None] * h_new + (1.0 - m[:, None]) * h_prev
+        c = (r * h_prev) @ p[prefix + "_Uh.T"]
+        c += a[:, 2 * hd :]
+        self.c = np.tanh(c, out=c)
+        h_new = (1.0 - z) * h_prev
+        h_new += z * self.c
+        if m is None or m.all():  # the blend would return h_new exactly
+            self.h = h_new
+        else:
+            self.h = m[:, None] * h_new + (1.0 - m[:, None]) * h_prev
 
     def backward(self, p, prefix, dh, grads):
         """Given dL/dh for this step's output, return (dx, dh_prev)."""
         hd = dh.shape[1]
         z, r = self.zr[:, :hd], self.zr[:, hd:]
-        m = self.m[:, None]
+        m = 1.0 if self.m is None else self.m[:, None]
         dh_new = dh * m
         dh_prev = dh * (1.0 - m) + dh_new * (1.0 - z)
 
@@ -187,11 +231,12 @@ class _GruStep:
 
 class _Encoder:
     """Bidirectional encoder pass with cached per-step state, plus what every
-    decoder step reads from it: the initial decoder state `s0` and the
-    attention keys `u_cached`, which include `att_b`."""
+    decoder step reads from it: the step `weights` (_step_weights), the
+    initial decoder state `s0`, the attention keys `u_cached`, which include
+    `att_b`, and whether any source position is `padded`."""
 
     def __init__(self, model, src_ids, src_mask):
-        p = model.params
+        p = self.weights = _step_weights(model.params)
         self.src_ids = src_ids
         self.src_mask = src_mask
         self.x = p["src_emb"][src_ids]  # (B, Ts, E)
@@ -211,13 +256,17 @@ class _Encoder:
             [np.stack([s.h for s in steps], axis=1) for _, _, steps in self.directions],
             axis=2,
         )  # (B, Ts, 2H)
+        self.padded = not src_mask.all()
         self.lengths = src_mask.sum(axis=1)
         self.mean = (
             (self.annotations * src_mask[:, :, None]).sum(axis=1)
             / self.lengths[:, None]
         )
-        self.s0 = np.tanh(self.mean @ p["init_W"].T + p["init_b"])
-        self.u_cached = self.annotations @ p["att_U"].T + p["att_b"]  # (B, Ts, A)
+        s0 = self.mean @ p["init_W"].T
+        s0 += p["init_b"]
+        self.s0 = np.tanh(s0, out=s0)
+        self.u_cached = self.annotations @ p["att_U"].T  # (B, Ts, A)
+        self.u_cached += p["att_b"]
 
     def backward(self, model, d_annotations, d_u, ds0, grads):
         """Back-propagate dL/d(annotations), dL/d(u_cached) and dL/d(s0)."""
@@ -257,10 +306,12 @@ class _AttentionStep:
     def __init__(self, p, s_prev, encoder):
         self.s_prev = s_prev
         self.annotations = encoder.annotations
-        q = s_prev @ p["att_W"].T  # (B, A)
-        self.g = np.tanh(q[:, None, :] + encoder.u_cached)  # (B, Ts, A)
+        q = s_prev @ p["att_W.T"]  # (B, A)
+        g = q[:, None, :] + encoder.u_cached
+        self.g = np.tanh(g, out=g)  # (B, Ts, A)
         scores = self.g @ p["att_v"]  # (B, Ts)
-        scores = np.where(encoder.src_mask > 0, scores, -1e30)
+        if encoder.padded:
+            scores = np.where(encoder.src_mask > 0, scores, -1e30)
         self.alpha = _softmax(scores)
         self.ctx = (self.alpha[:, None, :] @ self.annotations)[:, 0]
 
@@ -284,17 +335,21 @@ class _DecoderStep:
     the `dec` GRU fed [previous target embedding; context], and the output
     log-distribution over [new state; context; previous embedding]. Training
     runs it teacher-forced over a batch; decoding runs it on the rows of a
-    beam, all attending over one encoded sentence."""
+    beam, all attending over one encoded sentence. It reads the encoder's
+    step weights."""
 
     __slots__ = ("att", "gru", "feat", "logp")
 
-    def __init__(self, p, encoder, s_prev, prev_ids, mask):
+    def __init__(self, encoder, s_prev, prev_ids, mask):
+        p = encoder.weights
         self.att = _AttentionStep(p, s_prev, encoder)
         e_prev = p["tgt_emb"][prev_ids]
         x = np.concatenate([e_prev, self.att.ctx], axis=1)
         self.gru = _GruStep(p, "dec", x, s_prev, mask)
         self.feat = np.concatenate([self.gru.h, self.att.ctx, e_prev], axis=1)
-        self.logp = _log_softmax(self.feat @ p["out_W"].T + p["out_b"])
+        logits = self.feat @ p["out_W.T"]
+        logits += p["out_b"]
+        self.logp = _log_softmax(logits)
 
 
 @dataclass
@@ -320,7 +375,6 @@ def forward_batch(
     tgt_mask: np.ndarray,
 ) -> tuple[float, _ForwardCache]:
     """Mean per-token cross-entropy of the batch plus the backward cache."""
-    p = model.params
     _check_ids(src_ids, len(model.src_vocab), "source")
     _check_ids(tgt_in, len(model.tgt_vocab), "target")
     _check_ids(tgt_out, len(model.tgt_vocab), "target")
@@ -334,7 +388,7 @@ def forward_batch(
     rows = np.arange(b)
 
     for t in range(tt):
-        step = _DecoderStep(p, enc, state, tgt_in[:, t], tgt_mask[:, t])
+        step = _DecoderStep(enc, state, tgt_in[:, t], tgt_mask[:, t])
         state = step.gru.h
         loss -= (step.logp[rows, tgt_out[:, t]] * tgt_mask[:, t]).sum()
         steps.append(step)
@@ -409,13 +463,10 @@ class DecodeState:
     def step(self, model: Seq2SeqModel, parents, tokens) -> tuple[np.ndarray, "DecodeState"]:
         """Row i continues row `parents[i]` of this state with the token it
         just emitted, `tokens[i]`. Returns the (B, V) next-token log-probs
-        and the B-row state."""
+        and the B-row state. `model` is the model the state started on; the
+        step multiplies by the weight copies made at that start."""
         step = _DecoderStep(
-            model.params,
-            self.encoder,
-            self.s[np.asarray(parents)],
-            np.asarray(tokens),
-            np.ones(len(tokens)),
+            self.encoder, self.s[np.asarray(parents)], np.asarray(tokens), mask=None
         )
         return step.logp, DecodeState(self.encoder, step.gru.h)
 

@@ -537,6 +537,19 @@ def beam_search_single(model, src, beam, length_norm=True):
     return out[:beam]
 
 
+def exact_accuracy(model, pairs) -> float:
+    """Fraction of (source ids, target ids) pairs whose beam-1 decode with
+    `model` alone reproduces the target exactly."""
+    from apeforge.decoder import NmtScorer, ScorerBinding, decode
+
+    scorer = NmtScorer(model)
+    hits = 0
+    for src, tgt in pairs:
+        best = decode([ScorerBinding("nmt", scorer, tuple(src), 1.0)], beam=1)
+        hits += best.entries[0].tokens == model.tgt_vocab.words(tgt)
+    return hits / len(pairs)
+
+
 def decode_one_row(bindings, pep=None, beam=12, sentence_id=0):
     """The ensemble beam search advanced one hypothesis at a time; the
     reference for decoder.decode, which advances the whole beam per scorer
@@ -814,6 +827,23 @@ class _AttentionStepReference:
         grads["att_W"] += dq.T @ self.s_prev
         ds_prev = dq @ p["att_W"]
         return ds_prev, d_annotations, dpre
+
+
+def decode_step_reference(model, src_ids, src_mask, s_prev, prev_ids):
+    """One decoder step for the rows of `s_prev` over a (1, Ts) source that
+    may be padded, read straight from `model.params` (every product by a
+    `W.T` view): attention, the fused `dec` GRU with every row live, and the
+    output log-softmax. The reference for `DecodeState.step`; returns the
+    (B, V) log-probs and the (B, H) new state."""
+    import numpy as np
+
+    p = model.params
+    att = _AttentionStepReference(p, s_prev, _EncoderReference(model, src_ids, src_mask))
+    e_prev = p["tgt_emb"][prev_ids]
+    x = np.concatenate([e_prev, att.ctx], axis=1)
+    gru = _GruStepReference(p, "dec", x, s_prev, np.ones(len(prev_ids)))
+    feat = np.concatenate([gru.h, att.ctx, e_prev], axis=1)
+    return _softmax_reference(feat @ p["out_W"].T + p["out_b"], log=True), gru.h
 
 
 def forward_backward_reference(model, pairs):

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import copy_task_pairs
-from helpers import beam_search_single, exhaustive_shift_edits
+from helpers import beam_search_single, exact_accuracy, exhaustive_shift_edits
 
 from apeforge.cli import cli
 from apeforge.corpus import Triplet, Vocab
@@ -24,7 +24,6 @@ from apeforge.decoder import (
     PepFeature,
     ScorerBinding,
     decode,
-    exact_accuracy,
 )
 from apeforge.metrics import bleu, corpus_ter, ter
 from apeforge.ngram_lm import select_by_xent, train_lm

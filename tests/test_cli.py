@@ -1197,6 +1197,14 @@ def _mix_spec_without_corpora(tmp_path):
     return args, f"{spec}: no corpora"
 
 
+def _repeated_mix_corpus(tmp_path):
+    write_triplets(tmp_path / "a", [Triplet(src=("s",), mt=("a",), pe=("a",))])
+    spec = tmp_path / "mix.txt"
+    write(spec, [f"{tmp_path / 'a'} 1", f"{tmp_path / 'a'} 2"])
+    args = ["corpus", "mix", "--spec", str(spec), "--out", str(tmp_path / "mixed")]
+    return args, f"{spec}: line 2: corpus '{tmp_path / 'a'}' given twice"
+
+
 def _nonpositive_mix_factor(tmp_path):
     # the corpus exists, so only the factor can be at fault
     write_triplets(tmp_path / "a", [Triplet(src=("s",), mt=("a",), pe=("a",))])
@@ -1484,6 +1492,7 @@ def _arpa_into_missing_directory(tmp_path):
         _sentences_into_missing_directory,
         _triplets_into_missing_directory,
         _arpa_into_missing_directory,
+        _repeated_mix_corpus,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):
@@ -1613,7 +1622,7 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("bpe learn", ["--merges", "-3"], "'--merges'"),
         ("select ter", ["--n", "0"], "'--n'"),
         ("select ter", ["--n", "1", "--traversal-cap", "0"], "'--traversal-cap'"),
-        ("select ter", ["--n", "2", "--traversal-cap", "1"], "traversal_cap must be >= n"),
+        ("select ter", ["--n", "2", "--traversal-cap", "1"], "'--traversal-cap': 1 is below --n 2"),
         ("decode", ["--nbest", "3", "--beam", "1"], "'--beam'"),
         ("select ter", ["--n", "1", "--outlier-margin", "-0.1"], "'--outlier-margin'"),
         ("nmt grad-check", ["--embedding-dim", "0"], "'--embedding-dim'"),
@@ -1634,6 +1643,7 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("nmt grad-check", ["--tolerance", "0"], "'--tolerance'"),
         ("nmt grad-check", ["--tolerance", "-1"], "'--tolerance'"),
         ("nmt grad-check", ["--tolerance", "inf"], "'--tolerance'"),
+        ("select ter", ["--n", "200"], "Invalid value for '--traversal-cap': 100 is below --n 200"),
     ],
 )
 def test_out_of_range_option_is_usage_error(

@@ -224,6 +224,15 @@ class TestMix:
         with pytest.raises(ParseError):
             read_mix_spec(p)
 
+    def test_read_mix_spec_rejects_a_repeated_corpus(self, tmp_path):
+        # summing the factors would hide a typo in either line
+        p = tmp_path / "mix"
+        p.write_text("real 1\nreal 2\n")
+        with pytest.raises(
+            ParseError, match=rf"^{re.escape(str(p))}: line 2: corpus 'real' given twice$"
+        ):
+            read_mix_spec(p)
+
     def test_read_mix_spec_without_corpora(self, tmp_path):
         p = tmp_path / "mix"
         p.write_text("# no corpus yet\n\n")

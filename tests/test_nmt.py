@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from apeforge.corpus import CorpusError, Vocab
-from apeforge.decoder import NmtScorer, ScorerBinding, decode, exact_accuracy
+from apeforge.decoder import NmtScorer, ScorerBinding, decode
 from apeforge.nmt import (
     Adadelta,
     CheckpointError,
@@ -25,7 +25,9 @@ from apeforge.nmt import (
     train,
 )
 from apeforge.nmt.model import (
+    _Encoder,
     _GruStep,
+    _step_weights,
     backward_batch,
     batch_arrays,
     forward_batch,
@@ -35,7 +37,13 @@ from apeforge.nmt.model import (
 from apeforge.nmt.training import EPSILON, MAXI_BATCH, RHO, _schedule, clip_gradients
 
 from conftest import copy_task_pairs
-from helpers import forward_backward_reference, gru_step_reference, loss_and_grads
+from helpers import (
+    decode_step_reference,
+    exact_accuracy,
+    forward_backward_reference,
+    gru_step_reference,
+    loss_and_grads,
+)
 
 
 def tiny_model(seed=3, e=7, h=5):
@@ -138,7 +146,7 @@ class TestFusedGru:
         gates[f"{prefix}_Uh"] = p[f"{prefix}_Uh"]
         ref_h, ref_dx, ref_dh_prev, ref = gru_step_reference(gates, prefix, x, h_prev, m, dh)
 
-        step = _GruStep(p, prefix, x, h_prev, m)
+        step = _GruStep(_step_weights(p), prefix, x, h_prev, m)
         grads = {name: np.zeros_like(arr) for name, arr in p.items()}
         dx, dh_prev = step.backward(p, prefix, dh, grads)
 
@@ -190,6 +198,60 @@ class TestKernelMatchesReference:
             scale = np.abs(ref).max()
             assert scale > 0, name
             assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
+
+class TestDecodeStepMatchesReference:
+    """DecodeState.step against the step read straight from the parameters,
+    over two rounds: from the one-row start state, then with parents drawn
+    from the rows of the first round. A padded source has no public start,
+    so its state is built on the encoder directly."""
+
+    @pytest.mark.parametrize("pad", [0, 3])
+    @pytest.mark.parametrize("rows", [1, 5, 12])
+    def test_logps_and_states(self, rows, pad):
+        rng = np.random.default_rng(rows + pad)
+        sv = Vocab([f"s{i}" for i in range(9)])
+        tv = Vocab([f"t{i}" for i in range(11)])
+        model = init_model(sv, tv, embedding_dim=6, hidden_dim=8, seed=rows)
+        for arr in model.params.values():  # beyond init's +-0.08, gates saturate
+            arr *= 8.0
+        src = rng.integers(Vocab.UNK, len(sv), size=5).tolist()
+        src_ids, src_mask = pad_batch([src])
+        if pad:
+            src_ids = np.pad(src_ids, ((0, 0), (0, pad)), constant_values=Vocab.PAD)
+            src_mask = np.pad(src_mask, ((0, 0), (0, pad)))
+            enc = _Encoder(model, src_ids, src_mask)
+            state = DecodeState(enc, enc.s0)
+        else:
+            state = DecodeState.start(model, src)
+        ref_s = state.s
+        parents = np.zeros(rows, dtype=np.int64)
+        for _ in range(2):
+            tokens = rng.integers(0, len(tv), size=rows)
+            logp, state = state.step(model, parents, tokens)
+            ref_logp, ref_s = decode_step_reference(
+                model, src_ids, src_mask, ref_s[parents], tokens
+            )
+            np.testing.assert_allclose(logp, ref_logp, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(state.s, ref_s, rtol=1e-12, atol=0)
+            parents = rng.integers(0, rows, size=rows)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["att_W", "out_W"]
+        + [f"{g}_{w}" for g in ("enc_f", "enc_b", "dec") for w in ("W", "Uzr", "Uh")],
+    )
+    def test_weights_changed_in_place_reach_the_next_call(self, name):
+        # gradient_check and Adadelta write into params; a copy of a
+        # transposed weight kept from an earlier call would hide the change
+        model, sv, tv = tiny_model(seed=9)
+        src, tgt = [sv.id("a"), sv.id("c")], [tv.id("y"), tv.id("x")]
+        arrays = batch_arrays([(src, tgt)])
+        loss, _ = forward_batch(model, *arrays)
+        logp = next_logp(model, src, [])
+        model.params[name][0, 0] += 0.5
+        assert forward_batch(model, *arrays)[0] != loss
+        assert not np.array_equal(next_logp(model, src, []), logp)
 
 
 class TestBatching:
