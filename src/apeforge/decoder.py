@@ -62,7 +62,7 @@ class NmtScorer:
         return DecodeState.start(self.model, list(input_ids))
 
     def step(self, state: DecodeState, moves: np.ndarray):
-        return state.step(self.model, moves[:, 0], moves[:, 1])
+        return state.step(moves[:, 0], moves[:, 1])
 
 
 @dataclass(frozen=True)

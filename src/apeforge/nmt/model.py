@@ -460,11 +460,11 @@ class DecodeState:
         enc = _Encoder(model, *pad_batch([list(src)]))
         return cls(enc, enc.s0)
 
-    def step(self, model: Seq2SeqModel, parents, tokens) -> tuple[np.ndarray, "DecodeState"]:
+    def step(self, parents, tokens) -> tuple[np.ndarray, "DecodeState"]:
         """Row i continues row `parents[i]` of this state with the token it
         just emitted, `tokens[i]`. Returns the (B, V) next-token log-probs
-        and the B-row state. `model` is the model the state started on; the
-        step multiplies by the weight copies made at that start."""
+        and the B-row state. The step multiplies by the weight copies made
+        at `start`."""
         step = _DecoderStep(
             self.encoder, self.s[np.asarray(parents)], np.asarray(tokens), mask=None
         )

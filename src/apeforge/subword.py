@@ -214,12 +214,15 @@ def load_model(path: str | Path) -> BpeModel:
     if len(lines) < 2 or not lines[1].startswith(_BASE_PREFIX):
         raise SubwordError(f"{path}: line 2: missing inventory line {_BASE_PREFIX!r}")
     base = frozenset(lines[1][len(_BASE_PREFIX) :].split(" "))
-    merges = []
+    merges: dict[tuple[str, str], None] = {}  # insertion-ordered set
     for lineno, line in enumerate(lines[2:], 3):
         if not line:
             continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise SubwordError(f"{path}: line {lineno}: bad merge {line!r}")
-        merges.append((parts[0], parts[1]))
+        pair = (parts[0], parts[1])
+        if pair in merges:
+            raise SubwordError(f"{path}: line {lineno}: merge {line!r} given twice")
+        merges[pair] = None
     return BpeModel(merges=tuple(merges), base_symbols=base)

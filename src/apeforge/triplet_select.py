@@ -38,7 +38,6 @@ STAT_COMPONENTS = (
 class SelectionConfig:
     n: int = 1
     traversal_cap: int = 100
-    normalize: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -134,10 +133,12 @@ def knn_select_indices(
 ) -> list[int]:
     """Pool indices chosen by the per-reference nearest-neighbor walk.
 
-    References are visited in corpus order. Each walks its pool candidates
-    by decreasing similarity (ties on smaller pool index), skipping entries
-    already selected, until n are collected or traversal_cap candidates have
-    been examined. Indices are returned in selection order.
+    Distances are Euclidean between statistic vectors z-scored by the
+    reference set's `zscore_params`. References are visited in corpus
+    order. Each walks its pool candidates by decreasing similarity (ties on
+    smaller pool index), skipping entries already selected, until n are
+    collected or traversal_cap candidates have been examined. Indices are
+    returned in selection order.
     """
     pool = list(pool)
     reference = list(reference)
@@ -145,10 +146,9 @@ def knn_select_indices(
         raise ValueError("pool and reference must be non-empty")
     pool_mat = stat_matrix(pool)
     ref_stats = stat_matrix(reference)
-    if cfg.normalize:
-        mu, sd = zscore_params(ref_stats)
-        pool_mat = (pool_mat - mu) / sd
-        ref_stats = (ref_stats - mu) / sd
+    mu, sd = zscore_params(ref_stats)
+    pool_mat = (pool_mat - mu) / sd
+    ref_stats = (ref_stats - mu) / sd
 
     cap = min(cfg.traversal_cap, len(pool))
     taken: set[int] = set()

@@ -508,7 +508,7 @@ def beam_search_single(model, src, beam, length_norm=True):
         ranked = []
         stepped = []
         for parent, (ids, last, score, state) in enumerate(live):
-            logp, new_state = state.step(model, [0], [last])
+            logp, new_state = state.step([0], [last])
             stepped.append(new_state)
             for token in range(len(vocab)):
                 ranked.append((score + float(logp[0, token]), token, parent))

@@ -37,21 +37,21 @@ def test_input_error_is_the_only_stderr_line(tmp_path):
 @pytest.mark.parametrize(
     "command, option, rest",
     [
-        ("tune", "--mira-c", ["--dev", "dev", "--config", "empty.cfg", "--out", "w.txt"]),
         (
             "select ter",
             "--outlier-margin",
             ["--pool", "pool", "--reference", "ref", "--n", "1", "--out", "picked",
              "--report", "stats.txt"],
         ),
-        ("nmt grad-check", "--tolerance", []),
+        ("synth corrupt", "--swap", ["--pe", "empty.txt", "--out", "noisy"]),
     ],
-    ids=["tune", "select ter", "nmt grad-check"],
+    ids=["select ter", "synth corrupt"],
 )
 def test_nan_option_is_one_usage_error(tmp_path, command, option, rest):
-    """`nan` is rejected before any input is read: the config is empty and
-    the corpora do not exist, so reading either would be another error."""
-    (tmp_path / "empty.cfg").write_text("", encoding="utf-8")
+    """`nan` is rejected before any input is read: the text file is empty
+    and the corpora do not exist, so reading either would be another
+    error."""
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
     status, out, err = run_apeforge(command.split() + rest + [option, "nan"], tmp_path)
     assert "Traceback" not in err
     assert (status, out) == (2, "")

@@ -56,7 +56,7 @@ def next_logp(model, src, tgt_prefix):
     """Next-token log-distribution after tgt_prefix, through DecodeState."""
     state = DecodeState.start(model, src)
     for token in [Vocab.BOS, *tgt_prefix]:
-        logp, state = state.step(model, [0], [token])
+        logp, state = state.step([0], [token])
     return logp[0]
 
 
@@ -228,7 +228,7 @@ class TestDecodeStepMatchesReference:
         parents = np.zeros(rows, dtype=np.int64)
         for _ in range(2):
             tokens = rng.integers(0, len(tv), size=rows)
-            logp, state = state.step(model, parents, tokens)
+            logp, state = state.step(parents, tokens)
             ref_logp, ref_s = decode_step_reference(
                 model, src_ids, src_mask, ref_s[parents], tokens
             )
@@ -345,7 +345,7 @@ class TestForward:
         state = DecodeState.start(model, src)
         prev = Vocab.BOS
         for t, tok in enumerate(tgt + [Vocab.EOS]):
-            logp, state = state.step(model, [0], [prev])
+            logp, state = state.step([0], [prev])
             np.testing.assert_array_equal(logp[0], cache.logps[t][0])
             prev = tok
 

@@ -214,3 +214,11 @@ class TestModelFile:
         path.write_text(MODEL_HEADER + "\n#base: a b c </w>\na b c\n")
         with pytest.raises(SubwordError, match="line 3: bad merge"):
             load_model(path)
+
+    def test_repeated_merge_line(self, tmp_path):
+        # a later rank would win: `abc` would segment as a@@ bc, not ab@@ c
+        path = tmp_path / "bpe.model"
+        path.write_text(MODEL_HEADER + "\n#base: a b c </w>\na b\nb c\na b\n")
+        with pytest.raises(SubwordError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: line 5: merge 'a b' given twice"
