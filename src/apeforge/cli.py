@@ -218,13 +218,12 @@ def lm():
     type=click.IntRange(min=1),
     default=None,
     help="Subsample the corpus to about this many tokens before training, "
-    "to equalize sizes between models.",
+    "to equalize sizes between models; the sample is drawn with seed 0.",
 )
-@click.option("--sample-seed", default=0, show_default=True, type=click.IntRange(min=0))
-def lm_train(in_path, out_path, order, sample_tokens, sample_seed):
+def lm_train(in_path, out_path, order, sample_tokens):
     sentences = read_sentences(in_path)
     if sample_tokens is not None:
-        rng = np.random.default_rng(sample_seed)
+        rng = np.random.default_rng(0)
         order_ix = rng.permutation(len(sentences))
         taken, total = [], 0
         for i in order_ix:
@@ -295,22 +294,17 @@ def select_xent(in_lm_path, out_lm_path, corpus_path, keep, out_path):
 @select.command("ter")
 @click.option("--pool", "pool_prefix", required=True)
 @click.option("--reference", "ref_prefix", required=True)
-@click.option("--n", "n", required=True, type=click.IntRange(min=1))
+@click.option("--n", "n", required=True, type=click.IntRange(1, SelectionConfig.traversal_cap))
 @click.option(
     "--outlier-margin", "margin", default=0.10, show_default=True,
     type=_FloatRange(min=0),
 )
-@click.option("--traversal-cap", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_prefix", required=True)
 @click.option("--report", "report_path", required=True, type=click.Path())
-def select_ter(pool_prefix, ref_prefix, n, margin, traversal_cap, out_prefix, report_path):
+def select_ter(pool_prefix, ref_prefix, n, margin, out_prefix, report_path):
     """Pick pool triplets whose edit statistics, z-scored against the
     reference set, lie nearest to those of its triplets."""
-    if traversal_cap < n:
-        raise click.BadParameter(
-            f"{traversal_cap} is below --n {n}", param_hint="'--traversal-cap'"
-        )
-    cfg = SelectionConfig(n=n, traversal_cap=traversal_cap)
+    cfg = SelectionConfig(n=n)
     pool = read_triplets(pool_prefix)
     reference = read_triplets(ref_prefix)
     filtered = outlier_filter(pool, reference, margin=margin)
@@ -520,24 +514,17 @@ def synth():
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--substitution", default=0.0, show_default=True, type=_FloatRange(0, 1))
 @click.option("--deletion", default=0.0, show_default=True, type=_FloatRange(0, 1))
-@click.option("--insertion", default=0.0, show_default=True, type=_FloatRange(0, 1))
 @click.option("--swap", default=0.0, show_default=True, type=_FloatRange(0, 1))
 @click.option("--confusion", "confusion_path", type=click.Path(exists=True), default=None)
-@click.option("--fillers", default="", help="Comma-separated insertion tokens.")
-def synth_corrupt_cmd(
-    pe_path, out_prefix, seed, substitution, deletion, insertion, swap,
-    confusion_path, fillers,
-):
-    """Derive noisy (src, mt, pe) triplets from clean text."""
+def synth_corrupt_cmd(pe_path, out_prefix, seed, substitution, deletion, swap, confusion_path):
+    """Derive noisy (src, mt, pe) triplets from clean text, with no
+    insertion noise."""
+    if confusion_path is not None and substitution == 0:
+        raise click.UsageError("--confusion requires --substitution above 0")
     confusion = read_confusion(confusion_path) if confusion_path else None
     try:
         spec = NoiseSpec(
-            substitution=substitution,
-            deletion=deletion,
-            insertion=insertion,
-            swap=swap,
-            confusion=confusion,
-            fillers=tuple(t for t in fillers.split(",") if t),
+            substitution=substitution, deletion=deletion, swap=swap, confusion=confusion
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))

@@ -201,13 +201,15 @@ def parse_config(
           cmd <subcommand and arguments>
         end
 
-    with `in` and `out` optional and repeatable; `cmd` is required. A stage
-    runs after the stages that produce its `in` files. '#' starts a comment.
+    with `in` and `out` optional and repeatable; `cmd` is required. Stage
+    names are unique, and no file is an `out` twice. A stage runs after the
+    stages that produce its `in` files. '#' starts a comment.
     A stage's action is `action_for(args)`, where args are the shell-split
     `cmd` words without a leading `apeforge`. Errors start with `source`.
     """
     stages: list[Stage] = []
     current = None
+    producer: dict[str, str] = {}
 
     def fail(lineno, message):
         raise ParseError(f"{source}: line {lineno}: {message}")
@@ -220,11 +222,19 @@ def parse_config(
                 fail(lineno, f"unknown directive {directive!r}")
             if len(fields) != 2:
                 fail(lineno, "stage takes one name")
+            if any(stage.name == fields[1] for stage in stages):
+                fail(lineno, f"duplicate stage name {fields[1]!r}")
             current = {"name": fields[1], "in": [], "out": [], "cmd": None}
             continue
         if directive in ("in", "out"):
             if len(fields) < 2:
                 fail(lineno, f"{directive} needs at least one value")
+            if directive == "out":
+                for out in fields[1:]:
+                    if out in producer:
+                        both = f"{producer[out]!r} and {current['name']!r}"
+                        fail(lineno, f"output {out!r} produced by both {both}")
+                    producer[out] = current["name"]
             current[directive].extend(fields[1:])
         elif directive == "cmd":
             if current["cmd"] is not None:

@@ -220,7 +220,6 @@ class TestLmCommands:
                 "--in", str(corpus),
                 "--out", str(model),
                 "--sample-tokens", "8",
-                "--sample-seed", "1",
             ],
         )
         assert result.exit_code == 0, result.output
@@ -1420,6 +1419,24 @@ def _workspace_line_in_pipeline_config(tmp_path):
     return ["run", "--config", str(cfg)], f"{cfg}: line 1: unknown directive 'workspace'"
 
 
+def _repeated_stage_name_in_pipeline_config(tmp_path):
+    cfg = tmp_path / "pipe.cfg"
+    write(cfg, ["stage a", "cmd eval", "end", "stage a", "cmd eval", "end"])
+    return ["run", "--config", str(cfg)], f"{cfg}: line 4: duplicate stage name 'a'"
+
+
+def _repeated_output_in_pipeline_config(tmp_path):
+    cfg = tmp_path / "pipe.cfg"
+    write(
+        cfg,
+        ["stage a", "out x.txt", "cmd eval", "end", "stage b", "out x.txt", "cmd eval", "end"],
+    )
+    return (
+        ["run", "--config", str(cfg)],
+        f"{cfg}: line 6: output 'x.txt' produced by both 'a' and 'b'",
+    )
+
+
 def _sentences_into_missing_directory(tmp_path):
     write(tmp_path / "in.txt", ["ein haus"])
     out = tmp_path / "nodir" / "y.txt"
@@ -1498,6 +1515,8 @@ def _arpa_into_missing_directory(tmp_path):
         _arpa_into_missing_directory,
         _repeated_mix_corpus,
         _bpe_repeated_merge,
+        _repeated_stage_name_in_pipeline_config,
+        _repeated_output_in_pipeline_config,
     ],
 )
 def test_input_error_is_one_error_line(runner, tmp_path, make_case):
@@ -1637,16 +1656,16 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("eval", ["--metric", "bleu", "--per-sentence"], "--per-sentence requires --metric ter"),
         ("bpe learn", ["--merges", "-3"], "'--merges'"),
         ("select ter", ["--n", "0"], "'--n'"),
-        ("select ter", ["--n", "1", "--traversal-cap", "0"], "'--traversal-cap'"),
-        ("select ter", ["--n", "2", "--traversal-cap", "1"], "'--traversal-cap': 1 is below --n 2"),
+        ("select ter", ["--n", "101"], "'--n'"),
+        ("synth corrupt", [], "--confusion requires --substitution above 0"),
         ("decode", ["--nbest", "3", "--beam", "1"], "'--beam'"),
         ("select ter", ["--n", "1", "--outlier-margin", "-0.1"], "'--outlier-margin'"),
         ("synth corrupt", ["--substitution", "2"], "'--substitution'"),
         ("synth corrupt", ["--deletion", "-0.1"], "'--deletion'"),
-        ("synth corrupt", ["--insertion", "1.5"], "'--insertion'"),
+        ("synth corrupt", ["--substitution", "0"], "--confusion requires --substitution above 0"),
         ("synth corrupt", ["--swap", "-1"], "'--swap'"),
         ("synth corrupt", ["--seed", "-1"], "'--seed'"),
-        ("lm train", ["--sample-tokens", "4", "--sample-seed", "-1"], "'--sample-seed'"),
+        ("lm train", ["--sample-tokens", "0"], "'--sample-tokens'"),
         ("select xent", ["--keep", "abc"], "'abc'"),
         ("select xent", ["--keep", "1.5"], "'1.5'"),
         ("select xent", ["--keep", "0.0"], "'0.0'"),
@@ -1656,10 +1675,13 @@ def _bounded_option_commands(tmp_path, model_path, text):
         ("synth corrupt", ["--substitution", "nan"], "'--substitution'"),
         ("select ter", ["--n", "1", "--outlier-margin", "nan"], "'--outlier-margin'"),
         ("synth corrupt", ["--deletion", "nan"], "'--deletion'"),
-        ("synth corrupt", ["--insertion", "inf"], "'--insertion'"),
+        ("synth corrupt", ["--swap", "inf"], "'--swap'"),
         ("synth corrupt", ["--swap", "nan"], "'--swap'"),
-        ("synth corrupt", ["--insertion", "nan"], "'--insertion'"),
-        ("select ter", ["--n", "200"], "Invalid value for '--traversal-cap': 100 is below --n 200"),
+        ("select ter", ["--n", "1", "--outlier-margin", "-inf"], "'--outlier-margin'"),
+        (
+            "select ter", ["--n", "200"],
+            "Invalid value for '--n': 200 is not in the range 1<=x<=100.",
+        ),
     ],
 )
 def test_out_of_range_option_is_usage_error(
@@ -1686,6 +1708,10 @@ def test_out_of_range_option_is_usage_error(
         ("nmt grad-check", ["--tolerance", "0.001"]),
         ("tune", ["--mira-c", "0.01"]),
         ("tune", ["--seed", "0"]),
+        ("select ter", ["--traversal-cap", "100"]),
+        ("synth corrupt", ["--insertion", "0"]),
+        ("synth corrupt", ["--fillers", "x"]),
+        ("lm train", ["--sample-seed", "0"]),
     ],
 )
 def test_fixed_setting_is_no_option(runner, command, options):

@@ -90,7 +90,7 @@ end
 stage lm-out
 in mono.txt
 out out.arpa
-cmd lm train --in mono.txt --out out.arpa --sample-tokens 600 --sample-seed 2
+cmd lm train --in mono.txt --out out.arpa --sample-tokens 600
 end
 
 stage select-xent

@@ -273,6 +273,24 @@ class TestParseConfig:
                 'stage a\ncmd eval --hyp "x.txt\nend\n', "pipe.cfg", lambda args: None
             )
 
+    def test_repeated_stage_name_names_the_line(self):
+        text = "stage a\nout x.txt\ncmd eval\nend\n\nstage a\nout y.txt\ncmd eval\nend\n"
+        with pytest.raises(ParseError, match=r"^pipe.cfg: line 6: duplicate stage name 'a'$"):
+            parse_config(text, "pipe.cfg", lambda args: None)
+
+    @pytest.mark.parametrize(
+        "text, lineno, stages",
+        [
+            ("stage a\nout x.txt\ncmd eval\nend\nstage b\nout y.txt x.txt\n", 6, "'a' and 'b'"),
+            ("stage a\nout x.txt\nout x.txt\n", 3, "'a' and 'a'"),
+        ],
+        ids=["two stages", "one stage"],
+    )
+    def test_repeated_output_names_the_line(self, text, lineno, stages):
+        message = f"^pipe.cfg: line {lineno}: output 'x.txt' produced by both {stages}$"
+        with pytest.raises(ParseError, match=message):
+            parse_config(text + "cmd eval\nend\n", "pipe.cfg", lambda args: None)
+
 
 class TestStageGraph:
     def test_duplicate_stage_name_rejected(self, tmp_path):
